@@ -55,22 +55,22 @@ def test_reese_pipeline_throughput(benchmark, workload):
 
 
 def test_observed_pipeline_throughput(benchmark, workload):
-    """Full observability on (metrics + invariant checker).
+    """Stage metrics and invariant checker probes on.
 
     Not a regression gate — observation is allowed to cost what it
     costs; this exists so its price stays *visible*.  The zero-cost
     claim for the observability-off path is what the tier-1 suite's
     throughput benches above effectively pin (they run unobserved).
     """
-    from repro.uarch.observe import ObserveConfig, build_observability
+    from repro.uarch.observe import Instrumentation
 
     program, trace = workload
     config = starting_config().with_reese()
-    observe = ObserveConfig(metrics=True, check_invariants=True)
+    instrument = Instrumentation(metrics=True, check_invariants=True)
 
     stats = benchmark(
         lambda: Pipeline(
-            program, trace, config, observer=build_observability(observe)
+            program, trace, config, probe=instrument.probe()
         ).run()
     )
     assert stats.committed == len(trace)

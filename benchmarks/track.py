@@ -88,7 +88,7 @@ def collect_entry(label: str, scale: int, jobs: int,
     ]
     runner = ParallelRunner(jobs=jobs, use_cache=use_cache, profile=True)
     sim_jobs = [
-        SimJob(bench, cfg, scale, profile=True)
+        SimJob(bench, cfg, scale)
         for bench in BENCHMARK_ORDER
         for _label, cfg in series
     ]

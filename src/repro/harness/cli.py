@@ -32,7 +32,7 @@ fraction of the wall-clock, with a confidence interval on each IPC.
 ``--sample-interval K`` and ``--sample-warmup W`` tune the interval
 length and per-interval detailed warm-up.
 
-Observability (see docs/INTERNALS.md §8): ``--observe`` collects
+Instrumentation (see docs/INTERNALS.md §8): ``--observe`` collects
 per-stage metrics (occupancy histograms, stall reasons, P/R functional
 unit split) and prints them after single-run commands;
 ``--check-invariants`` runs every simulation under the runtime
@@ -58,12 +58,12 @@ from typing import List, Optional
 
 from ..reese.faults import EnvironmentalFaultModel
 from ..uarch.config import starting_config
-from ..uarch.observe import ObserveConfig
+from ..uarch.observe import Instrumentation
 from ..uarch.sampling import SamplingSpec
 from ..workloads.suite import BENCHMARK_ORDER, BENCHMARKS
 from . import expectations, experiments, reporting
 from .parallel import ParallelRunner, SimJob
-from .runner import bench_scale, run_benchmark
+from .runner import bench_scale, resolve_instrumentation, run_benchmark
 
 
 def _runner_from(args) -> ParallelRunner:
@@ -76,12 +76,6 @@ def _runner_from(args) -> ParallelRunner:
         profile=getattr(args, "profile", False),
         telemetry_path=getattr(args, "telemetry", None),
     )
-
-
-def _profile_flag(args) -> Optional[bool]:
-    """``--profile`` for the single-run paths: ``True`` when given,
-    ``None`` otherwise so the ``REPRO_PROFILE`` env gate still applies."""
-    return True if getattr(args, "profile", False) else None
 
 
 def _sampling_from(args) -> Optional[SamplingSpec]:
@@ -105,16 +99,18 @@ def _trace_path(args, label: Optional[str] = None) -> Optional[str]:
     return f"{root}.{label}{ext or '.jsonl'}"
 
 
-def _observe_from(args, label: Optional[str] = None) -> Optional[ObserveConfig]:
-    """Build the ObserveConfig the global flags describe (or ``None``)."""
-    trace = _trace_path(args, label)
-    if not (args.observe or args.check_invariants or trace):
-        return None
-    return ObserveConfig(
-        metrics=args.observe,
-        check_invariants=args.check_invariants,
-        trace_path=trace,
-    )
+def _run_models(args, runner: ParallelRunner, models) -> List:
+    """Full runs of ``args.benchmark`` on each ``(label, config)``.
+
+    Each run traces to its own ``--trace`` file, with its label spliced
+    into the name; the runner adds the other probes.
+    """
+    scale = args.scale or bench_scale()
+    return runner.run([
+        SimJob(args.benchmark, config, scale,
+               instrument=Instrumentation(trace_path=_trace_path(args, label)))
+        for label, config in models
+    ])
 
 
 def _emit_metrics(args, label: str, stats) -> None:
@@ -218,19 +214,17 @@ def _cmd_bench(args) -> int:
     sampling = _sampling_from(args)
     if sampling is not None:
         return _cmd_bench_sampled(args, sampling)
+    runner = _runner_from(args)
     config = starting_config()
-    base = run_benchmark(args.benchmark, config, scale=args.scale,
-                         observe=_observe_from(args, "baseline"),
-                         profile=_profile_flag(args))
-    reese = run_benchmark(args.benchmark, config.with_reese(),
-                          scale=args.scale,
-                          observe=_observe_from(args, "reese"),
-                          profile=_profile_flag(args))
+    base, reese = _run_models(
+        args, runner, [("baseline", config), ("reese", config.with_reese())]
+    )
     print(f"{args.benchmark}: baseline {base.summary()}")
     print(f"{args.benchmark}: reese    {reese.summary()}")
     print(f"IPC ratio reese/baseline = {reese.ipc / base.ipc:.3f}")
     _emit_metrics(args, "baseline", base)
     _emit_metrics(args, "reese", reese)
+    _emit_telemetry(runner)
     return 0
 
 
@@ -265,9 +259,15 @@ def _cmd_faults(args) -> int:
     model = EnvironmentalFaultModel(
         rate=args.rate, duration=args.duration, seed=args.seed
     )
+    instrument = Instrumentation(
+        metrics=args.observe,
+        check_invariants=args.check_invariants,
+        profile=args.profile,
+        trace_path=_trace_path(args),
+    )
     stats = run_benchmark(
         args.benchmark, config, scale=args.scale, fault_model=model,
-        observe=_observe_from(args),
+        instrument=resolve_instrumentation(instrument, faulted=True),
     )
     print(f"workload:            {args.benchmark}")
     print(f"fault events struck: {model.strikes}")
@@ -372,26 +372,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    runner = _runner_from(args)
     config = starting_config()
-    models = [
-        ("baseline", config),
-        ("REESE", config.with_reese()),
-        ("dispatch-dup", config.with_dispatch_dup()),
-    ]
-    base_ipc = None
-    observed = []
-    for label, model_config in models:
-        stats = run_benchmark(args.benchmark, model_config, scale=args.scale,
-                              observe=_observe_from(args, label),
-                              profile=_profile_flag(args))
-        if base_ipc is None:
-            base_ipc = stats.ipc
+    labels = ("baseline", "REESE", "dispatch-dup")
+    models = zip(labels, (config, config.with_reese(),
+                          config.with_dispatch_dup()))
+    results = list(zip(labels, _run_models(args, runner, models)))
+    base_ipc = results[0][1].ipc
+    for label, stats in results:
         gap = 1 - stats.ipc / base_ipc
         print(f"{label:14s} IPC {stats.ipc:.3f} ({gap:+.1%})  "
               f"cycles {stats.cycles}  R-execs {stats.issued_r}")
-        observed.append((label, stats))
-    for label, stats in observed:
+    for label, stats in results:
         _emit_metrics(args, label, stats)
+    _emit_telemetry(runner)
     return 0
 
 
@@ -399,7 +393,7 @@ def _cmd_profile(args) -> int:
     """Top-down cycle-accounting profile: where did the slots go?
 
     Runs the Baseline / REESE / R+2 ALU cells for one benchmark (or the
-    whole suite) with the cycle accountant attached and renders the
+    whole suite) with the cycle-accounting profiler attached and renders the
     attribution report — the per-cause slot breakdown, the
     REESE-vs-baseline R-share, and the detection-latency telemetry.
     """
@@ -415,7 +409,7 @@ def _cmd_profile(args) -> int:
     )
     scale = args.scale or bench_scale()
     jobs = [
-        SimJob(bench, cfg, scale, profile=True)
+        SimJob(bench, cfg, scale, instrument=Instrumentation(profile=True))
         for bench in benches
         for _label, cfg in series
     ]

@@ -60,7 +60,7 @@ from ..reese.faults import (
     ScheduledFaultModel,
 )
 from ..uarch.config import MachineConfig
-from ..uarch.observe import ObserveConfig, build_observability
+from ..uarch.observe import Instrumentation
 from ..uarch.sampling import (
     SampledResult,
     SamplingSpec,
@@ -71,7 +71,7 @@ from ..uarch.sampling import (
 )
 from ..uarch.stats import Stats
 from ..workloads.suite import BENCHMARKS
-from .runner import _env_observe, _env_profile, run_model
+from .runner import resolve_instrumentation, run_model
 from .telemetry import write_job_telemetry
 
 #: Bump to invalidate every on-disk cache entry after a model change.
@@ -134,29 +134,22 @@ class SimJob:
     seed: Optional[int] = None
     fault: Optional[FaultSpec] = None
     warm: bool = True
-    #: Collect per-stage metrics into ``Stats.stage_metrics``.
-    observe: bool = False
-    #: Run the pipeline under the runtime invariant checker.
-    check_invariants: bool = False
-    #: Write the structured event trace to this JSONL path.  Trace
-    #: files are a side effect the result cache cannot replay, so jobs
-    #: with a trace path always simulate (no cache read).
-    trace_path: Optional[str] = None
     #: Sampled simulation (``None`` = full detailed run).  With
     #: ``sampling.index`` set the job simulates that one measurement
     #: interval; with ``index=None`` it runs the whole sampled
     #: simulation in process and returns the merged interval Stats
     #: (use :func:`run_sampled_jobs` to fan intervals over workers and
     #: keep the :class:`~repro.uarch.sampling.SampledResult` estimate).
-    #: Observability attaches to interval jobs only — a whole-run
-    #: sampled job spawns one pipeline per interval, which the
-    #: single-observer plumbing does not model.
     sampling: Optional[SamplingSpec] = None
-    #: Attach the cycle-accounting profiler: the job's Stats carry the
-    #: top-down slot/cycle attribution account and detection-latency
-    #: telemetry (``Stats.accounting``).  Sampled jobs profile each
-    #: measurement interval and merge the accounts.
-    profile: bool = False
+    #: Probes to attach: stage metrics (``Stats.stage_metrics``), the
+    #: invariant checker, the cycle-accounting profiler
+    #: (``Stats.accounting``; sampled jobs profile each interval and
+    #: merge the accounts) and a JSONL event trace.  Trace files are a
+    #: side effect the result cache cannot replay, so jobs with a trace
+    #: path always simulate (no cache read).  A whole-run sampled job
+    #: attaches only the checker and the profiler, one of each per
+    #: interval.
+    instrument: Instrumentation = Instrumentation()
 
     def resolved_seed(self) -> int:
         """The seed actually used (``None`` means the workload default)."""
@@ -196,18 +189,17 @@ def job_fingerprint(job: SimJob) -> str:
             if job.fault
             else None
         ),
-        # Observability changes the Stats payload (stage_metrics) but
-        # not the simulated outcome; it is part of the key so observed
-        # and unobserved runs never serve each other's entries.  The
-        # trace path is a pure side-effect destination and is excluded.
-        "observe": job.observe,
-        "check_invariants": job.check_invariants,
+        # Probes change the Stats payload (stage_metrics, accounting)
+        # but not the simulated outcome; they are part of the key so
+        # instrumented and plain runs never serve each other's entries.
+        # The trace path is a pure side-effect destination and is
+        # excluded.
+        "observe": job.instrument.metrics,
+        "check_invariants": job.instrument.check_invariants,
         "sampling": (
             dataclasses.asdict(job.sampling) if job.sampling else None
         ),
-        # Profiling likewise changes the payload (Stats.accounting):
-        # profiled and unprofiled runs never share an entry.
-        "profile": job.profile,
+        "profile": job.instrument.profile,
     }
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -337,55 +329,43 @@ def interval_fault_spec(fault: FaultSpec, index: int) -> FaultSpec:
     return FaultSpec.make(fault.kind, **params)
 
 
-def _execute_sampled(job: SimJob, program, trace, observe) -> Stats:
-    """Sampled branch of :func:`_execute_job` (spec index decides shape)."""
-    spec = job.sampling
-    if spec.index is not None:
-        fault = job.fault.build() if job.fault else None
-        if observe is None:
-            observe = _env_observe(fault)
-        return run_interval(
-            program, trace, job.config, spec, spec.index,
-            fault_model=fault, warm=job.warm,
-            observer=build_observability(observe),
-            profile_run=job.profile,
-        )
-    factory = None
-    if job.fault is not None:
-        base = job.fault
-
-        def factory(index: int):
-            return interval_fault_spec(base, index).build()
-
-    result = run_sampled(program, trace, job.config, spec,
-                         fault_factory=factory, warm=job.warm,
-                         profile_run=job.profile)
-    return result.stats
-
-
 def _execute_job(job: SimJob) -> Tuple[Stats, float, int]:
-    """Worker entry point: simulate one job, report timing and pid."""
+    """Worker entry point: simulate one job, report timing and pid.
+
+    The job's instrumentation is used as given: the runner resolved the
+    environment gates into it before fingerprinting, so a worker-side
+    env read would desynchronise payload and key.
+    """
     from ..workloads.suite import trace_for
 
     start = time.perf_counter()
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
-    observe = None
-    if job.observe or job.check_invariants or job.trace_path:
-        observe = ObserveConfig(
-            metrics=job.observe,
-            check_invariants=job.check_invariants,
-            trace_path=job.trace_path,
-        )
-    if job.sampling is not None:
-        stats = _execute_sampled(job, program, trace, observe)
-    else:
-        fault = job.fault.build() if job.fault else None
-        # profile is passed explicitly (never None): the runner resolved
-        # the REPRO_PROFILE gate into the job before fingerprinting, so
-        # a worker-side env read would desynchronise payload and key.
+    spec = job.sampling
+    fault = job.fault.build() if job.fault else None
+    if spec is None:
         stats = run_model(program, trace, job.config, fault_model=fault,
-                          warm=job.warm, observe=observe,
-                          profile=job.profile)
+                          warm=job.warm, instrument=job.instrument)
+    elif spec.index is not None:
+        stats = run_interval(program, trace, job.config, spec, spec.index,
+                             fault_model=fault, warm=job.warm,
+                             instrument=job.instrument)
+    else:
+        factory = None
+        if job.fault is not None:
+            base = job.fault
+
+            def factory(index: int):
+                return interval_fault_spec(base, index).build()
+
+        # Whole-run sampled jobs never collected stage metrics, so their
+        # cache entries carry none; one trace file cannot hold every
+        # interval.
+        instrument = dataclasses.replace(
+            job.instrument, metrics=False, trace_path=None
+        )
+        stats = run_sampled(program, trace, job.config, spec,
+                            fault_factory=factory, warm=job.warm,
+                            instrument=instrument).stats
     return stats, time.perf_counter() - start, os.getpid()
 
 
@@ -417,13 +397,14 @@ class ParallelRunner:
         cache_dir: cache location (default ``REPRO_CACHE_DIR`` or
             ``.repro_cache``).
         observe: collect per-stage metrics for every job (applied on
-            top of each job's own ``observe`` field).
+            top of each job's own ``instrument``).
         check_invariants: run every job under the runtime invariant
             checker (likewise applied on top of per-job fields).
         profile: attach the cycle-accounting profiler to every job
-            (applied on top of per-job fields; the ``REPRO_PROFILE``
-            environment gate is folded in here, at job level, so cache
-            fingerprints always reflect whether a run was profiled).
+            (applied on top of per-job fields).  The
+            ``REPRO_PROFILE`` and ``REPRO_CHECK_INVARIANTS`` gates are
+            folded into each job here, before fingerprinting, so cache
+            keys always say which probes produced an entry.
         telemetry_path: after every :meth:`run`, write the per-job
             records as an atomic JSONL file at this path (see
             :mod:`repro.harness.telemetry`).
@@ -448,24 +429,26 @@ class ParallelRunner:
         )
         self.observe = observe
         self.check_invariants = check_invariants
-        self.profile = profile or _env_profile()
+        self.profile = profile
         self.telemetry_path = telemetry_path
         self.telemetry: Optional[RunTelemetry] = None
 
     def _apply_defaults(self, job: SimJob) -> SimJob:
-        """Fold runner-level observability/profiling flags into a job."""
-        if (
-            (self.observe and not job.observe)
-            or (self.check_invariants and not job.check_invariants)
-            or (self.profile and not job.profile)
-        ):
-            job = dataclasses.replace(
-                job,
-                observe=job.observe or self.observe,
-                check_invariants=job.check_invariants or self.check_invariants,
-                profile=job.profile or self.profile,
-            )
-        return job
+        """Fold runner-level flags and environment gates into a job."""
+        given = job.instrument
+        instrument = resolve_instrumentation(
+            dataclasses.replace(
+                given,
+                metrics=given.metrics or self.observe,
+                check_invariants=given.check_invariants
+                or self.check_invariants,
+                profile=given.profile or self.profile,
+            ),
+            faulted=job.fault is not None,
+        )
+        if instrument == given:
+            return job
+        return dataclasses.replace(job, instrument=instrument)
 
     def run(self, sim_jobs: Sequence[SimJob]) -> List[Stats]:
         """Run every job; results are returned in input order."""
@@ -479,7 +462,9 @@ class ParallelRunner:
         for index, (job, fp) in enumerate(zip(sim_jobs, fingerprints)):
             # A job that writes a trace file must actually run — a cache
             # hit would return the Stats but silently skip the trace.
-            servable = self.cache is not None and job.trace_path is None
+            servable = (
+                self.cache is not None and job.instrument.trace_path is None
+            )
             cached = self.cache.get(fp) if servable else None
             if cached is not None:
                 results[index] = cached
@@ -578,7 +563,9 @@ def expand_sampled_job(
                 job,
                 sampling=dataclasses.replace(spec, index=index),
                 fault=fault,
-                trace_path=None,
+                instrument=dataclasses.replace(
+                    job.instrument, trace_path=None
+                ),
             )
         )
     return interval_jobs, len(trace), profile

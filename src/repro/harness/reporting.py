@@ -324,8 +324,8 @@ def profile_report(
 
     Args:
         results: benchmark -> series label -> profiled Stats (i.e. run
-            with the cycle accountant attached, so ``Stats.accounting``
-            is populated).
+            with the cycle-accounting profiler attached, so
+            ``Stats.accounting`` is populated).
         scale: dynamic instructions per benchmark (header line only).
         markdown: render pipe tables + headings instead of aligned
             monospace tables.

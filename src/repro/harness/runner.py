@@ -14,6 +14,7 @@ the experiment definitions.  All figure experiments run through
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import warnings
 from typing import Optional
@@ -21,9 +22,8 @@ from typing import Optional
 from ..arch.trace import Trace
 from ..isa.program import Program
 from ..reese.faults import FaultModel, NoFaults
-from ..uarch.accounting import CycleAccountant
 from ..uarch.config import MachineConfig
-from ..uarch.observe import ObserveConfig, build_observability
+from ..uarch.observe import Instrumentation
 from ..uarch.pipeline import Pipeline
 from ..uarch.stats import Stats
 
@@ -107,34 +107,31 @@ def bench_scale() -> int:
     return env_int("REPRO_BENCH_INSTRUCTIONS", DEFAULT_SCALE)
 
 
-def _env_observe(fault_model: Optional[FaultModel]) -> Optional[ObserveConfig]:
-    """The ``REPRO_CHECK_INVARIANTS`` smoke gate.
+def resolve_instrumentation(
+    instrument: Optional[Instrumentation], faulted: bool
+) -> Instrumentation:
+    """Fold the environment gates into ``instrument``.
 
-    When the variable is set (to anything but ``0``/empty), every
-    harness-driven simulation runs under the runtime invariant checker
-    — except fault-injected ones, whose whole point is to commit
-    corrupted values the checker would (correctly) reject.  This is how
-    CI runs the tier-1 suite with invariant checking on without every
-    test opting in individually.
+    * ``REPRO_CHECK_INVARIANTS`` (anything but unset, empty or ``0``)
+      attaches the runtime invariant checker — except to fault-injected
+      runs, whose whole point is to commit corrupted values the checker
+      would (correctly) reject.  This is how CI runs the tier-1 suite
+      with invariant checking on without every test opting in.
+    * ``REPRO_PROFILE`` attaches the cycle-accounting profiler, the
+      environment spelling of the CLI's ``--profile``.
+
+    The parallel layer calls this per job *before* fingerprinting, so a
+    cache key always says which probes produced its entry.
     """
-    if os.environ.get("REPRO_CHECK_INVARIANTS", "") in ("", "0"):
-        return None
-    if fault_model is not None and not isinstance(fault_model, NoFaults):
-        return None
-    return ObserveConfig(check_invariants=True)
-
-
-def _env_profile() -> bool:
-    """The ``REPRO_PROFILE`` profiling gate.
-
-    When set, every harness-driven simulation attaches the cycle-
-    accounting profiler (:mod:`repro.uarch.accounting`), so
-    ``Stats.accounting`` carries the top-down slot/cycle attribution
-    and detection-latency telemetry.  Mirrors the
-    ``REPRO_CHECK_INVARIANTS`` gate; the CLI's ``--profile`` flag is
-    the per-invocation spelling of the same switch.
-    """
-    return env_flag("REPRO_PROFILE", False)
+    instrument = instrument or Instrumentation()
+    check = instrument.check_invariants or (
+        not faulted
+        and os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
+    )
+    profile = instrument.profile or env_flag("REPRO_PROFILE", False)
+    return dataclasses.replace(
+        instrument, check_invariants=check, profile=profile
+    )
 
 
 def run_model(
@@ -144,28 +141,21 @@ def run_model(
     fault_model: Optional[FaultModel] = None,
     warm: bool = True,
     max_cycles: Optional[int] = None,
-    observe: Optional[ObserveConfig] = None,
-    profile: Optional[bool] = None,
+    instrument: Optional[Instrumentation] = None,
 ) -> Stats:
     """Simulate one program trace on one machine configuration.
 
     Args:
-        observe: optional observability attachment (event trace,
-            per-stage metrics, invariant checker); ``None`` keeps the
-            observer-free fast path unless ``REPRO_CHECK_INVARIANTS``
-            is set in the environment (see :func:`_env_observe`).
-        profile: attach the cycle-accounting profiler so the returned
-            Stats carry the top-down attribution account
-            (``Stats.accounting``).  ``None`` defers to the
-            ``REPRO_PROFILE`` environment gate; an explicit ``False``
-            keeps the profiler off regardless (what the parallel layer
-            passes, having already resolved the gate at job level so
-            cache fingerprints stay honest).
+        instrument: the probes to attach (event trace, stage metrics,
+            invariant checker, cycle-accounting profiler), used as given.
+            ``None`` defers to the environment gates (see
+            :func:`resolve_instrumentation`).
     """
-    if observe is None:
-        observe = _env_observe(fault_model)
-    if profile is None:
-        profile = _env_profile()
+    if instrument is None:
+        faulted = fault_model is not None and not isinstance(
+            fault_model, NoFaults
+        )
+        instrument = resolve_instrumentation(None, faulted)
     pipeline = Pipeline(
         program,
         trace,
@@ -173,8 +163,7 @@ def run_model(
         fault_model=fault_model,
         warm_caches=warm,
         warm_predictor=warm,
-        observer=build_observability(observe),
-        accountant=CycleAccountant() if profile else None,
+        probe=instrument.probe(),
     )
     return pipeline.run(max_cycles=max_cycles)
 
@@ -186,13 +175,12 @@ def run_benchmark(
     seed: Optional[int] = None,
     fault_model: Optional[FaultModel] = None,
     warm: bool = True,
-    observe: Optional[ObserveConfig] = None,
-    profile: Optional[bool] = None,
+    instrument: Optional[Instrumentation] = None,
 ) -> Stats:
     """Simulate one named benchmark on one machine configuration."""
     program, trace = trace_for(name, scale or bench_scale(), seed)
     return run_model(program, trace, config, fault_model=fault_model,
-                     warm=warm, observe=observe, profile=profile)
+                     warm=warm, instrument=instrument)
 
 
 def run_sampled_benchmark(

@@ -23,6 +23,11 @@ class UnrecoverableFaultError(Exception):
         self.seq = seq
         self.attempts = attempts
 
+    def __reduce__(self):
+        # Pickle by constructor arguments, so the error crosses a
+        # worker-pool boundary (the default replays the message alone).
+        return (type(self), (self.seq, self.attempts))
+
 
 class RetryTracker:
     """Counts consecutive comparison failures of one instruction."""

@@ -116,10 +116,11 @@ R_CAUSES = frozenset(
 class CycleAccountant:
     """Per-cycle slot/cycle attribution state for one pipeline.
 
-    The pipeline pokes the ``cyc_*`` transients from its stage methods
-    (guarded by ``accountant is not None``, so the default path pays
-    one pointer test per site) and calls :meth:`on_cycle` at end of
-    cycle, which settles the cascade and resets the transients.
+    A pipeline probe (docs/INTERNALS.md §8): :meth:`notify` turns the
+    pipeline's stage events into the ``cyc_*`` transients of the
+    current cycle, :meth:`on_cycle` settles the cascade at end of cycle
+    and resets them, and :meth:`finalize` stores the account in
+    ``Stats.accounting``.
     """
 
     __slots__ = (
@@ -167,6 +168,9 @@ class CycleAccountant:
         self._pipe = pipe
         self.width = pipe.config.issue_width
 
+    def finalize(self, stats) -> None:
+        stats.accounting = self.state_dict()
+
     def reset(self) -> None:
         """Zero the account (the ``measure_from`` window open)."""
         self.slots = {cause: 0 for cause in SLOT_CAUSES}
@@ -180,18 +184,43 @@ class CycleAccountant:
 
     # -- event notes from the pipeline ---------------------------------
 
-    def note_fu_block(self, holder: str, r_work: bool) -> None:
-        """A ready instruction found every unit of its class busy.
-
-        Args:
-            holder: ``"R"`` if an R-stream issue holds one of the busy
-                units past this cycle (see :meth:`FUPool.blame`).
-            r_work: the blocked instruction itself is R-stream work.
-        """
-        if r_work or holder == "R":
-            self.cyc_fu_block_r += 1
-        else:
-            self.cyc_fu_block_p += 1
+    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
+        """Record the attribution facts a pipeline event carries."""
+        if event == "issue":
+            if entry.wrong_path:
+                self.cyc_issued_wp += 1
+            elif entry.is_shadow:
+                self.cyc_issued_r += 1  # dispatch-dup redundant copy
+            else:
+                self.cyc_issued_p += 1
+        elif event == "r_issue":
+            self.cyc_issued_r += 1
+        elif event == "fu_block":
+            # Every unit of a class was busy.  Blocked R work (a queue
+            # entry, or a dispatch-dup copy) and P work blocked by an
+            # R-held unit are both R contention.
+            if (
+                entry is None
+                or entry.is_shadow
+                or self._pipe.fupool.blame(info["fu"], cycle) == "R"
+            ):
+                self.cyc_fu_block_r += 1
+            else:
+                self.cyc_fu_block_p += 1
+        elif event == "r_complete":
+            self.record_detect(cycle - info["rentry"].inserted_cycle)
+        elif event == "commit":
+            rentry = info.get("rentry")
+            if rentry is not None:
+                self.record_residency(cycle - rentry.inserted_cycle)
+        elif event == "dispatch_block":
+            self.cyc_dispatch_block = info["structure"]
+        elif event == "rqueue_full":
+            self.cyc_rqueue_block = True
+        elif event == "recover":
+            self.note_flush()
+        elif event == "mispredict":
+            self.note_mispredict()
 
     def note_flush(self) -> None:
         """Compare-mismatch recovery flush this cycle."""

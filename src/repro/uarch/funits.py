@@ -51,14 +51,11 @@ class FUPool:
             "mem": [0] * config.mem_ports,
         }
         # Per-pool "this unit's current occupancy is R-stream work, and
-        # it holds the unit until <cycle>" watermarks — only maintained
-        # when :attr:`track_streams` is on (the cycle-accounting
-        # profiler), so the default path never writes them.
+        # it holds the unit until <cycle>" watermarks, read by
+        # :meth:`blame` (the cycle-accounting profiler).
         self._r_until: Dict[str, List[int]] = {
             key: [0] * len(pool) for key, pool in self._pools.items()
         }
-        #: Record which stream holds each busy unit (profiling only).
-        self.track_streams = False
         # FUClass -> (pool, r_until, oplat, issuelat); mem uses oplat 0
         # sentinel.
         self._dispatch: Dict[int, Tuple[List[int], List[int], int, int]] = {}
@@ -77,9 +74,6 @@ class FUPool:
         #: and dispatch-duplication shadow copies), for the per-stage
         #: metrics registry's P/R utilisation split.
         self.issues_r: Dict[str, int] = {key: 0 for key in self._pools}
-        self._class_of_pool = {
-            key: key for key in self._pools
-        }
 
     def acquire(
         self, fu_class: FUClass, cycle: int, r_stream: bool = False
@@ -88,9 +82,8 @@ class FUPool:
 
         Args:
             r_stream: the acquiring operation belongs to the redundant
-                stream; only consulted when :attr:`track_streams` is on
-                (so :meth:`blame` can say which stream holds a busy
-                unit).
+                stream (so :meth:`blame` can say which stream holds a
+                busy unit).
 
         Returns:
             The operation latency (0 for memory ports, whose latency the
@@ -101,8 +94,7 @@ class FUPool:
         for index, next_free in enumerate(pool):
             if next_free <= cycle:
                 pool[index] = cycle + issuelat
-                if self.track_streams:
-                    r_until[index] = cycle + issuelat if r_stream else 0
+                r_until[index] = cycle + issuelat if r_stream else 0
                 return oplat
         return None
 
@@ -112,8 +104,7 @@ class FUPool:
         ``"R"`` when any currently-busy unit of the class is held by an
         R-stream operation (without REESE that unit would have been
         free, so the conflict is R-induced), ``"P"`` otherwise.  Only
-        meaningful right after an acquire returned ``None`` with
-        :attr:`track_streams` on.
+        meaningful right after an acquire returned ``None``.
         """
         pool, r_until, _, _ = self._dispatch[int(fu_class)]
         for index, next_free in enumerate(pool):
@@ -138,26 +129,3 @@ class FUPool:
         self.issues[pool_key] += 1
         if r_stream:
             self.issues_r[pool_key] += 1
-
-    def utilization(self, cycles: int) -> Dict[str, float]:
-        """Approximate issue-slot utilization per pool."""
-        if not cycles:
-            return {key: 0.0 for key in self._pools}
-        return {
-            key: self.issues[key] / (len(pool) * cycles) if pool else 0.0
-            for key, pool in self._pools.items()
-        }
-
-    def utilization_split(self, cycles: int) -> Dict[str, Dict[str, float]]:
-        """Issue-slot utilization per pool, split by P vs R stream."""
-        if not cycles:
-            zero = {key: 0.0 for key in self._pools}
-            return {"P": dict(zero), "R": dict(zero)}
-        out: Dict[str, Dict[str, float]] = {"P": {}, "R": {}}
-        for key, pool in self._pools.items():
-            slots = len(pool) * cycles
-            r_issues = self.issues_r[key]
-            p_issues = self.issues[key] - r_issues
-            out["P"][key] = p_issues / slots if slots else 0.0
-            out["R"][key] = r_issues / slots if slots else 0.0
-        return out

@@ -1,13 +1,16 @@
-"""Pipeline observability: event tracing, stage metrics, invariants.
+"""Pipeline probes: event tracing, stage metrics, invariants.
 
 The timing core (:mod:`repro.uarch.pipeline`) exposes only end-of-run
 aggregates through :class:`~repro.uarch.stats.Stats`; this module is
 the instrumentation layer that makes cycle-level micro-behaviour —
 R-stream instructions slotting into idle functional units, the
 R-stream Queue draining before commit, P/R results meeting at the
-comparator — visible and checkable.  Three cooperating pieces, all
-**zero-overhead when off** (an unobserved pipeline takes exactly one
-``observer is None`` branch per event site):
+comparator — visible and checkable.  Every piece is a **probe**: an
+object with the five hooks of :class:`Probe` that the pipeline calls
+through its single ``probe`` argument, **zero-overhead when off** (an
+uninstrumented pipeline takes exactly one ``probe is not None`` branch
+per hook site).  Besides the cycle-accounting profiler
+(:class:`repro.uarch.accounting.CycleAccountant`), the probes are:
 
 * :class:`EventTracer` — a structured **event trace**.  Every stage
   event (fetch/dispatch/issue/writeback/commit/flush/R-issue/compare,
@@ -17,6 +20,8 @@ comparator — visible and checkable.  Three cooperating pieces, all
   pluggable sink: :class:`RingBufferSink` (bounded, in-memory),
   :class:`JSONLSink` (deterministic, byte-stable JSON lines — the
   golden-file oracle for regression tests) or :class:`CallbackSink`.
+  :class:`Timeline` renders collected events as a SimpleScalar
+  ``ptrace``-style per-instruction stage table.
 
 * :class:`StageMetrics` — a **per-stage metrics registry**: per-cycle
   occupancy histograms for the fetch queue, RUU, LSQ and R-stream
@@ -37,13 +42,12 @@ comparator — visible and checkable.  Three cooperating pieces, all
   leaves no stale entries anywhere; and structural capacity/ordering
   limits on the RUU, LSQ, ready list and R-stream Queue.
 
-:class:`Observability` composes any subset of the three behind the
-pipeline's single ``observer`` hook; build one from an
-:class:`ObserveConfig` with :func:`build_observability`.  The harness
-plumbs these through ``--trace``, ``--observe`` and
-``--check-invariants`` (CLI) and the same-named :class:`SimJob` fields
-(parallel layer); ``REPRO_CHECK_INVARIANTS=1`` turns the checker on
-for every unfaulted harness run (the tier-1 smoke configuration).
+:class:`ProbeSet` fans the hooks out to several probes, and an
+:class:`Instrumentation` value says which probes a run gets.  The
+harness carries one ``Instrumentation`` per :class:`SimJob`, set from
+``--observe``, ``--check-invariants``, ``--profile`` and ``--trace``
+(CLI); ``REPRO_CHECK_INVARIANTS=1`` turns the checker on for every
+unfaulted harness run (the tier-1 smoke configuration).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..reese.comparator import describe_mismatch, p_value, reexecute, values_equal
 from ..reese.faults import corrupt_value
+from .accounting import CycleAccountant
 
 #: Bump when TraceEvent field names / semantics change (golden traces).
 EVENT_SCHEMA_VERSION = 1
@@ -86,6 +91,33 @@ INVARIANTS: Dict[str, str] = {
     "structural": "occupancy never exceeds configured capacity and "
                   "window ordering/readiness bookkeeping stays legal",
 }
+
+
+class Probe:
+    """The pipeline probe protocol; every hook defaults to a no-op.
+
+    ``bind(pipe)`` runs once the pipeline is built,
+    ``notify(event, cycle, entry=None, **info)`` at every stage event
+    (see the event table in docs/INTERNALS.md §8; probes ignore kinds
+    they do not know), ``on_cycle(pipe)`` at the end of every simulated
+    cycle, ``reset()`` when the ``measure_from`` window opens and
+    ``finalize(stats)`` after the run.
+    """
+
+    def bind(self, pipe) -> None:
+        pass
+
+    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
+        pass
+
+    def on_cycle(self, pipe) -> None:
+        pass
+
+    def reset(self) -> None:
+        pass
+
+    def finalize(self, stats) -> None:
+        pass
 
 
 class TraceEvent:
@@ -163,7 +195,7 @@ class RingBufferSink(EventSink):
     """Keep the most recent ``capacity`` events in memory.
 
     Overflow is not silent: every overwritten event increments
-    :attr:`dropped`, which :class:`Observability` surfaces as
+    :attr:`dropped`, which :class:`EventTracer` surfaces as
     ``stage_metrics["dropped_events"]`` (hence ``Stats.state_dict()``)
     and the metrics report turns into an explicit warning — a
     truncated event window must never masquerade as a complete one.
@@ -258,8 +290,8 @@ _NOTIFY_KINDS = {
 }
 
 
-class EventTracer:
-    """Observer translating pipeline stage callbacks into TraceEvents."""
+class EventTracer(Probe):
+    """Probe translating pipeline stage events into TraceEvents."""
 
     def __init__(self, sink: EventSink) -> None:
         self.sink = sink
@@ -297,7 +329,96 @@ class EventTracer:
         self.emitted += 1
 
     def finalize(self, stats) -> None:
+        if isinstance(self.sink, RingBufferSink):
+            # Surface ring-buffer overflow in the Stats payload even
+            # when the metrics registry is off: dropped events are a
+            # property of the run, not of the registry.
+            metrics = dict(stats.stage_metrics or {})
+            metrics["dropped_events"] = (
+                metrics.get("dropped_events", 0) + self.sink.dropped
+            )
+            stats.stage_metrics = metrics
         self.sink.close()
+
+
+class _Row:
+    __slots__ = ("seq", "iseq", "op", "pc", "wrong_path", "stages",
+                 "squashed")
+
+
+class Timeline:
+    """SimpleScalar-``ptrace``-style stage timelines from TraceEvents.
+
+    One row per pipeline ``seq`` (the first ``max_records`` seen), with
+    the cycle of each stage: ``F`` fetch, ``D`` dispatch, ``I`` issue,
+    ``X`` writeback, ``Q`` R-stream Queue insert, ``R`` redundant issue
+    and ``C`` commit.  R-stream events, raised after the instruction
+    left the RUU, attach to the latest row of that dynamic instruction.
+    ``trace`` is the one the pipeline ran: it supplies each row's
+    ``pc``.  Collect the events with
+    ``EventTracer(CallbackSink(events.append))``.
+    """
+
+    STAGES = ("F", "D", "I", "X", "Q", "R", "C")
+    _ENTRY_STAGES = {"fetch": "F", "dispatch": "D", "issue": "I",
+                     "writeback": "X", "rqueue_insert": "Q", "commit": "C"}
+
+    def __init__(self, events, trace, max_records: int = 256) -> None:
+        if max_records <= 0:
+            raise ValueError("max_records must be positive")
+        self.rows: Dict[int, _Row] = {}
+        self.recoveries: List[int] = []
+        latest: Dict[int, _Row] = {}
+        for event in events:
+            kind = event.kind
+            if kind == "flush":
+                self.recoveries.append(event.cycle)
+                continue
+            if event.seq is None:  # R-stream event, keyed by trace seq
+                row = latest.get(event.iseq)
+                stage = {"issue": "R", "commit": "C"}.get(kind)
+            else:
+                row = self.rows.get(event.seq)
+                if row is None and len(self.rows) < max_records:
+                    row = self.rows[event.seq] = _Row()
+                    row.seq, row.iseq, row.op = event.seq, event.iseq, event.op
+                    row.pc = 0  # wrong path: no dynamic instruction
+                    if event.iseq is not None:
+                        row.pc = trace[event.iseq].pc
+                        latest[event.iseq] = row
+                    row.wrong_path = bool(event.extra and event.extra.get("wp"))
+                    row.stages, row.squashed = {}, False
+                stage = self._ENTRY_STAGES.get(kind)
+            if row is None:
+                continue
+            if stage is not None and stage not in row.stages:
+                row.stages[stage] = event.cycle
+            if kind == "squash":
+                row.squashed = True
+
+    def render(self, limit: Optional[int] = None) -> str:
+        """Text table of the first ``limit`` rows (all by default)."""
+        header = (
+            f"{'seq':>5s} {'dyn':>5s} {'op':<8s} {'pc':>10s} "
+            + " ".join(f"{stage:>6s}" for stage in self.STAGES)
+            + "  notes"
+        )
+        lines = [header, "-" * len(header)]
+        for row in list(self.rows.values())[: limit or len(self.rows)]:
+            notes = ["wrong-path"] if row.wrong_path else []
+            if row.squashed:
+                notes.append("squashed")
+            cells = " ".join(
+                f"{row.stages.get(stage, ''):>6}" for stage in self.STAGES
+            )
+            dyn_col = row.iseq if row.iseq is not None else "-"
+            lines.append(
+                f"{row.seq:>5d} {dyn_col!s:>5s} {row.op:<8s} "
+                f"{row.pc:#010x} {cells}  {' '.join(notes)}"
+            )
+        if self.recoveries:
+            lines.append(f"recoveries at cycles: {self.recoveries}")
+        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +426,10 @@ class EventTracer:
 # ----------------------------------------------------------------------
 
 
-class StageMetrics:
+class StageMetrics(Probe):
     """Per-cycle occupancy histograms, FU split and stall counters.
 
-    Sampled once per simulated cycle via the pipeline's ``on_cycle``
+    Sampled once per simulated cycle via the probe's ``on_cycle``
     hook; folded into ``Stats.stage_metrics`` at finalisation.
     Histogram bins are stored with **string keys** so the registry
     round-trips unchanged through the JSON result cache.
@@ -324,6 +445,13 @@ class StageMetrics:
         }
         self.stalls: Dict[str, int] = {key: 0 for key in self.STALLS}
         self._last_committed = 0
+        self._pipe = None
+
+    def bind(self, pipe) -> None:
+        self._pipe = pipe
+
+    def finalize(self, stats) -> None:
+        stats.stage_metrics = self.state_dict(self._pipe)
 
     def on_cycle(self, pipe) -> None:
         self.cycles_sampled += 1
@@ -412,11 +540,18 @@ class InvariantViolation(Exception):
             message += f": {detail}"
         super().__init__(message)
 
+    def __reduce__(self):
+        # Rebuild from the constructor arguments: the default pickling
+        # replays ``args`` (the message alone) and fails to unpickle,
+        # which kills a worker pool's result handler.
+        return (type(self),
+                (self.invariant, self.cycle, self.trace_seq, self.detail))
 
-class InvariantChecker:
+
+class InvariantChecker(Probe):
     """Validate pipeline legality while the simulation runs.
 
-    Event-driven checks fire from the pipeline's observer hook;
+    Event-driven checks fire from the probe's ``notify`` hook;
     structural sweeps run once per cycle from ``on_cycle``.  By default
     the first violation raises; with ``collect=True`` violations accrue
     in :attr:`violations` instead (for tests that expect several).
@@ -620,130 +755,67 @@ class InvariantChecker:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObserveConfig:
-    """Which observability pieces to attach to a run.
+class ProbeSet(Probe):
+    """Fan every hook out to several probes, in list order."""
 
-    Picklable and scalar-only, so the parallel layer can ship it to
-    worker processes (see :class:`repro.harness.parallel.SimJob`).
+    def __init__(self, probes: List[Any]) -> None:
+        self.probes = list(probes)
+
+    def bind(self, pipe) -> None:
+        for probe in self.probes:
+            probe.bind(pipe)
+
+    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
+        for probe in self.probes:
+            probe.notify(event, cycle, entry, **info)
+
+    def on_cycle(self, pipe) -> None:
+        for probe in self.probes:
+            probe.on_cycle(pipe)
+
+    def reset(self) -> None:
+        for probe in self.probes:
+            probe.reset()
+
+    def finalize(self, stats) -> None:
+        for probe in self.probes:
+            probe.finalize(stats)
+
+
+@dataclass(frozen=True)
+class Instrumentation:
+    """Which probes to attach to a run.
+
+    Picklable and scalar-only, so the parallel layer ships it to worker
+    processes inside :class:`repro.harness.parallel.SimJob`.
     """
 
     #: Collect the per-stage metrics registry into ``Stats.stage_metrics``.
     metrics: bool = False
     #: Attach the runtime invariant checker (raises InvariantViolation).
     check_invariants: bool = False
+    #: Attach the cycle-accounting profiler (``Stats.accounting``).
+    profile: bool = False
     #: Write a JSONL event trace to this path.
     trace_path: Optional[str] = None
-    #: Keep the last N events in memory instead of (or besides) a file;
-    #: 0 disables the ring buffer.
-    ring_capacity: int = 0
 
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.metrics
-            or self.check_invariants
-            or self.trace_path
-            or self.ring_capacity
-        )
+    def probe(self):
+        """Fresh probes for one pipeline run (``None`` when all are off).
 
-
-class _TeeSink(EventSink):
-    """Fan one event stream out to several sinks."""
-
-    def __init__(self, sinks: List[EventSink]) -> None:
-        self.sinks = sinks
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
-class Observability:
-    """Composite observer: tracer and/or metrics and/or checker.
-
-    Implements the full pipeline observer protocol (``notify``,
-    ``on_cycle``, ``bind``, ``finalize``); each sub-piece is optional
-    and the hooks skip whatever is absent.
-    """
-
-    def __init__(
-        self,
-        tracer: Optional[EventTracer] = None,
-        metrics: Optional[StageMetrics] = None,
-        checker: Optional[InvariantChecker] = None,
-    ) -> None:
-        self.tracer = tracer
-        self.metrics = metrics
-        self.checker = checker
-        self._pipe = None
-
-    def bind(self, pipe) -> None:
-        self._pipe = pipe
-        if self.checker is not None:
-            self.checker.bind(pipe)
-
-    def notify(self, event: str, cycle: int, entry=None, **info) -> None:
-        # Checker first: a violation should surface before the event is
-        # serialised (the trace written so far is the diagnostic).
-        if self.checker is not None:
-            self.checker.notify(event, cycle, entry, **info)
-        if self.tracer is not None:
-            self.tracer.notify(event, cycle, entry, **info)
-
-    def on_cycle(self, pipe) -> None:
-        if self.metrics is not None:
-            self.metrics.on_cycle(pipe)
-        if self.checker is not None:
-            self.checker.on_cycle(pipe)
-
-    def _ring_sinks(self) -> List[RingBufferSink]:
-        """Ring-buffer sinks reachable through the tracer (if any)."""
-        if self.tracer is None:
-            return []
-        sink = self.tracer.sink
-        sinks = sink.sinks if isinstance(sink, _TeeSink) else [sink]
-        return [s for s in sinks if isinstance(s, RingBufferSink)]
-
-    def finalize(self, stats) -> None:
-        if self.metrics is not None:
-            stats.stage_metrics = self.metrics.state_dict(self._pipe)
-        rings = self._ring_sinks()
-        if rings:
-            # Surface ring-buffer overflow in the Stats payload even
-            # when the metrics registry is off: dropped events are a
-            # property of the run, not of the registry.
-            stats.stage_metrics = dict(stats.stage_metrics or {})
-            stats.stage_metrics["dropped_events"] = sum(
-                ring.dropped for ring in rings
-            )
-        if self.tracer is not None:
-            self.tracer.finalize(stats)
-
-
-def build_observability(
-    observe: Optional[ObserveConfig],
-) -> Optional[Observability]:
-    """Materialise an :class:`Observability` from a config (or ``None``).
-
-    Returns ``None`` for a disabled config so the pipeline keeps its
-    observer-free fast path.
-    """
-    if observe is None or not observe.enabled:
-        return None
-    sinks: List[EventSink] = []
-    if observe.trace_path:
-        sinks.append(JSONLSink(observe.trace_path))
-    if observe.ring_capacity:
-        sinks.append(RingBufferSink(observe.ring_capacity))
-    tracer = None
-    if sinks:
-        sink = sinks[0] if len(sinks) == 1 else _TeeSink(sinks)
-        tracer = EventTracer(sink)
-    metrics = StageMetrics() if observe.metrics else None
-    checker = InvariantChecker() if observe.check_invariants else None
-    return Observability(tracer=tracer, metrics=metrics, checker=checker)
+        The order is the hook order: metrics sample the cycle before the
+        checker sweeps it, and the checker sees each event before the
+        tracer serialises it (the trace written so far is the
+        diagnostic of a violation).
+        """
+        probes: List[Any] = []
+        if self.metrics:
+            probes.append(StageMetrics())
+        if self.check_invariants:
+            probes.append(InvariantChecker())
+        if self.trace_path:
+            probes.append(EventTracer(JSONLSink(self.trace_path)))
+        if self.profile:
+            probes.append(CycleAccountant())
+        if len(probes) > 1:
+            return ProbeSet(probes)
+        return probes[0] if probes else None

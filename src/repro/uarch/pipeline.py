@@ -83,6 +83,11 @@ class SimulationTimeoutError(Exception):
             f"instructions committed"
         )
 
+    def __reduce__(self):
+        # Pickle by constructor arguments, so the error crosses a
+        # worker-pool boundary (the default replays the message alone).
+        return (type(self), (self.cap, self.committed, self.total, self.stats))
+
 
 def warm_caches_over(mem: MemoryHierarchy, trace, line_shift: int) -> None:
     """Architecturally touch every I-line, data address and TLB page.
@@ -202,11 +207,10 @@ class Pipeline:
         fault_model: Optional[FaultModel] = None,
         warm_caches: bool = False,
         warm_predictor: bool = False,
-        observer=None,
+        probe=None,
         warm_state=None,
         measure_from: Optional[int] = None,
         stop_after: Optional[int] = None,
-        accountant=None,
     ) -> None:
         """
         Args:
@@ -222,16 +226,17 @@ class Pipeline:
                 compulsory misses.  The experiment harness enables this.
             warm_predictor: likewise pre-train the direction predictor
                 on one pass of the branch stream.
-            observer: optional stage-event observer (e.g.
-                :class:`repro.uarch.ptrace.PipeTrace` or
-                :class:`repro.uarch.observe.Observability`); its
-                ``notify`` method is called at fetch/dispatch/issue/
-                complete/commit/squash/R-stream/compare/flush events.
-                Optional observer hooks, resolved once here so an
-                absent hook costs nothing per cycle: ``bind(pipeline)``
-                at construction, ``on_cycle(pipeline)`` at the end of
-                every simulated cycle, ``finalize(stats)`` after the
-                run.
+            probe: optional instrumentation probe (the cycle-accounting
+                profiler, stage metrics, invariant checker, event
+                tracer, or a :class:`repro.uarch.observe.ProbeSet` of
+                several; see docs/INTERNALS.md §8).  The pipeline calls
+                ``bind(pipeline)`` once constructed, ``notify(event,
+                cycle, entry=None, **info)`` at every stage event,
+                ``on_cycle(pipeline)`` at the end of every cycle,
+                ``reset()`` when the ``measure_from`` window opens and
+                ``finalize(stats)`` after the run.  ``None`` (the
+                default) keeps the instrumentation-free fast path:
+                every hook site is a single ``is not None`` test.
             warm_state: optional pre-warmed architectural state (an
                 object with ``mem``, ``predictor``, ``btb`` and ``ras``
                 attributes, e.g. :class:`repro.uarch.sampling.WarmState`).
@@ -248,13 +253,6 @@ class Pipeline:
                 warm-up instructions ahead of a measurement interval
                 without polluting its numbers.  ``None`` measures the
                 whole run.
-            accountant: optional
-                :class:`repro.uarch.accounting.CycleAccountant`; when
-                given, every stage reports issue/stall facts to it and
-                the end of every cycle settles the top-down slot/cycle
-                attribution cascade.  ``None`` (the default) keeps the
-                profiler-free fast path: every hook site is a single
-                ``is not None`` test.
             stop_after: trace seq whose commit ends the run — younger
                 trace instructions are fetched/executed (keeping the
                 machine realistically busy behind the measured window)
@@ -269,18 +267,10 @@ class Pipeline:
         self.fault_model = fault_model or NoFaults()
         self.warm_caches = warm_caches
         self.warm_predictor = warm_predictor
-        self.observer = observer
-        self._on_cycle = getattr(observer, "on_cycle", None)
-        bind = getattr(observer, "bind", None)
-        if bind is not None:
-            bind(self)
+        self.probe = probe
         self.stats = Stats()
 
         self.fupool = FUPool(config)
-        self.accountant = accountant
-        if accountant is not None:
-            accountant.bind(self)
-            self.fupool.track_streams = True
         if warm_state is not None:
             self.warm_caches = False
             self.warm_predictor = False
@@ -345,6 +335,8 @@ class Pipeline:
         self.dup_on = config.dispatch_dup
         # Duty cycle: re-execute one instruction in every _duty_period.
         self._duty_period = max(1, round(1.0 / reese.r_duty_cycle))
+        if probe is not None:
+            probe.bind(self)
 
     # ==================================================================
     # driver
@@ -379,8 +371,7 @@ class Pipeline:
         cap = max_cycles if max_cycles is not None else 400 * total + 100_000
         last_commit_cycle = 0
         last_committed = 0
-        on_cycle = self._on_cycle  # hoisted: fixed for the whole run
-        acct = self.accountant     # hoisted: fixed for the whole run
+        probe = self.probe  # hoisted: fixed for the whole run
 
         while not self._done and self.cycle < cap:
             self._commit()
@@ -388,10 +379,8 @@ class Pipeline:
             self._issue()
             self._dispatch()
             self._fetch()
-            if on_cycle is not None:
-                on_cycle(self)  # end-of-cycle state, pre-increment
-            if acct is not None:
-                acct.on_cycle(self)  # settle the attribution cascade
+            if probe is not None:
+                probe.on_cycle(self)  # end-of-cycle state, pre-increment
             self.cycle += 1
             self.stats.cycles += 1
             if self.reese_on:
@@ -452,8 +441,8 @@ class Pipeline:
             self.fupool.issues[key] = 0
         for key in self.fupool.issues_r:
             self.fupool.issues_r[key] = 0
-        if self.accountant is not None:
-            self.accountant.reset()
+        if self.probe is not None:
+            self.probe.reset()
 
     def _finalize(self) -> Stats:
         stats = self.stats
@@ -461,11 +450,8 @@ class Pipeline:
         stats.bpred_accuracy = self.predictor.accuracy
         stats.fu_issues = dict(self.fupool.issues)
         stats.cache_stats = self.mem.stat_dict()
-        if self.accountant is not None:
-            stats.accounting = self.accountant.state_dict()
-        finalize = getattr(self.observer, "finalize", None)
-        if finalize is not None:
-            finalize(stats)
+        if self.probe is not None:
+            self.probe.finalize(stats)
         return stats
 
     # ==================================================================
@@ -511,7 +497,7 @@ class Pipeline:
         """
         budget = self.config.commit_width
         ruu = self.ruu
-        observer = self.observer
+        probe = self.probe
         while budget and ruu:
             head = ruu[0]
             if head.wrong_path or not head.completed:
@@ -530,10 +516,8 @@ class Pipeline:
                 if shadow.p_fault_bit is not None:
                     r_val = corrupt_value(r_val, shadow.p_fault_bit)
                 match = values_equal(p_val, r_val)
-                if observer is not None:
-                    observer.notify(
-                        "compare", self.cycle, head, match=match
-                    )
+                if probe is not None:
+                    probe.notify("compare", self.cycle, head, match=match)
                 if not match:
                     self.stats.errors_detected += 1
                     self.stats.recoveries += 1
@@ -555,8 +539,8 @@ class Pipeline:
                 self.fupool.record_issue(FUClass.MEM_PORT)
                 self.mem.daccess(head.dyn.ea, is_write=True)
             self.retry.record_success(head.trace_seq)
-            if observer is not None:
-                observer.notify("commit", self.cycle, head)
+            if probe is not None:
+                probe.notify("commit", self.cycle, head)
             self.stats.committed += 1
             self.commit_seq = head.trace_seq + 1
             if head.is_halt or head.trace_seq == self._stop_after:
@@ -580,8 +564,8 @@ class Pipeline:
         """Architectural retirement bookkeeping (baseline path)."""
         if entry.trace_seq == self._measure_from:
             self._begin_measurement()
-        if self.observer is not None:
-            self.observer.notify("commit", self.cycle, entry)
+        if self.probe is not None:
+            self.probe.notify("commit", self.cycle, entry)
         if entry.p_fault_bit is not None:
             # No comparator: the corrupted result commits silently.
             self.stats.sdc_commits += 1
@@ -595,8 +579,7 @@ class Pipeline:
         # Queue in program order (frees queue slots for phase 2).
         budget = self.config.commit_width
         rqueue = self.rqueue
-        observer = self.observer
-        acct = self.accountant
+        probe = self.probe
         while budget:
             rentry = rqueue.committable(self.commit_seq)
             if rentry is None:
@@ -607,8 +590,8 @@ class Pipeline:
             if not rentry.skip_r:
                 self.stats.comparisons += 1
                 match = values_equal(rentry.p_value, rentry.r_value)
-                if observer is not None:
-                    observer.notify(
+                if probe is not None:
+                    probe.notify(
                         "compare", self.cycle, rentry=rentry, match=match
                     )
                 if not match:
@@ -632,11 +615,9 @@ class Pipeline:
                 if rentry.lsq_entry is not None:
                     self._lsq_remove(rentry.lsq_entry)
             rqueue.pop(rentry.seq)
-            if acct is not None:
-                acct.record_residency(self.cycle - rentry.inserted_cycle)
             self.retry.record_success(rentry.seq)
-            if observer is not None:
-                observer.notify(
+            if probe is not None:
+                probe.notify(
                     "commit", self.cycle, trace_seq=rentry.seq,
                     rentry=rentry,
                 )
@@ -670,8 +651,8 @@ class Pipeline:
                 break
             if rqueue.free_slots <= older_unmoved:
                 self.stats.rqueue_full_events += 1
-                if acct is not None:
-                    acct.cyc_rqueue_block = True
+                if probe is not None:
+                    probe.notify("rqueue_full", self.cycle, entry)
                 break
             self._move_to_rqueue(entry)
             ruu.pop(index)
@@ -700,8 +681,8 @@ class Pipeline:
         if entry.is_store:
             rentry.lsq_entry = entry
         self.rqueue.push(rentry)
-        if self.observer is not None:
-            self.observer.notify("rqueue", self.cycle, entry)
+        if self.probe is not None:
+            self.probe.notify("rqueue", self.cycle, entry)
         self.stats.rqueue_moves += 1
 
     @staticmethod
@@ -737,17 +718,15 @@ class Pipeline:
         self.rq_epoch += 1
         if self.rqueue is not None:
             self.rqueue.clear()
-        if self.accountant is not None:
-            self.accountant.note_flush()
         self.wp_active = False
         self.wp_index = -1
         self.fetch_cursor = refetch_cursor
         self.fetch_blocked_until = self.cycle + 1
         self._last_fetch_line = -1
-        # Notify last, with the machine already clean: observers (the
+        # Notify last, with the machine already clean: probes (the
         # invariant checker in particular) see the post-flush state.
-        if self.observer is not None:
-            self.observer.notify("recover", self.cycle)
+        if self.probe is not None:
+            self.probe.notify("recover", self.cycle)
 
     # ==================================================================
     # writeback
@@ -768,8 +747,8 @@ class Pipeline:
         if entry.squashed:
             return
         entry.completed = True
-        if self.observer is not None:
-            self.observer.notify("complete", self.cycle, entry)
+        if self.probe is not None:
+            self.probe.notify("complete", self.cycle, entry)
         if not entry.wrong_path and entry.dyn is not None:
             bit = self.fault_model.sample(self.cycle)
             if bit is not None and reese_p_value(entry.dyn) is not None:
@@ -790,8 +769,6 @@ class Pipeline:
         self.stats.pr_separation_count += 1
         if separation > self.stats.pr_separation_max:
             self.stats.pr_separation_max = separation
-        if self.accountant is not None:
-            self.accountant.record_detect(separation)
         r_val = reese_reexecute(rentry.dyn)
         bit = self.fault_model.sample(self.cycle)
         if bit is not None and r_val is not None:
@@ -799,8 +776,8 @@ class Pipeline:
             rentry.r_fault_bit = bit
         rentry.r_value = r_val
         rentry.state = R_DONE
-        if self.observer is not None:
-            self.observer.notify(
+        if self.probe is not None:
+            self.probe.notify(
                 "r_complete", self.cycle, trace_seq=rentry.seq,
                 rentry=rentry,
             )
@@ -814,13 +791,13 @@ class Pipeline:
         # The branch's own duplicate (dispatch-dup scheme) is younger by
         # one sequence number but belongs to the branch: keep it.
         keep = branch.shadow
-        observer = self.observer
+        probe = self.probe
         for entry in self.ruu:
             if entry.seq > seq and entry is not keep:
                 entry.squashed = True
                 squashed += 1
-                if observer is not None:
-                    observer.notify("squash", self.cycle, entry)
+                if probe is not None:
+                    probe.notify("squash", self.cycle, entry)
             else:
                 survivors.append(entry)
         self.ruu = survivors
@@ -845,8 +822,8 @@ class Pipeline:
         self.fetch_blocked_until = max(self.fetch_blocked_until, self.cycle + 1)
         self._last_fetch_line = -1
         branch.mispredicted = False
-        if self.accountant is not None:
-            self.accountant.note_mispredict()
+        if probe is not None:
+            probe.notify("mispredict", self.cycle, branch)
 
     # ==================================================================
     # issue
@@ -871,8 +848,7 @@ class Pipeline:
         self.ready.sort(key=lambda entry: entry.seq)
         leftover: List[_Entry] = []
         cycle = self.cycle
-        observer = self.observer
-        acct = self.accountant
+        probe = self.probe
         for entry in self.ready:
             if entry.squashed or entry.issued:
                 continue
@@ -885,20 +861,13 @@ class Pipeline:
                 continue
             entry.issued = True
             self._schedule_p(entry, cycle + latency)
-            if observer is not None:
-                observer.notify("issue", cycle, entry)
+            if probe is not None:
+                probe.notify("issue", cycle, entry)
             self.stats.issued += 1
             if entry.wrong_path:
                 self.stats.issued_wrong_path += 1
             if entry.is_shadow:
                 self.stats.issued_r += 1  # redundant copy (dispatch dup)
-            if acct is not None:
-                if entry.wrong_path:
-                    acct.cyc_issued_wp += 1
-                elif entry.is_shadow:
-                    acct.cyc_issued_r += 1
-                else:
-                    acct.cyc_issued_p += 1
             budget -= 1
         self.ready = leftover
         return budget
@@ -912,11 +881,8 @@ class Pipeline:
             return self._try_issue_load(entry, cycle)
         grant = self.fupool.acquire(entry.fu, cycle, entry.is_shadow)
         if grant is None:
-            acct = self.accountant
-            if acct is not None:
-                acct.note_fu_block(
-                    self.fupool.blame(entry.fu, cycle), entry.is_shadow
-                )
+            if self.probe is not None:
+                self.probe.notify("fu_block", cycle, entry, fu=entry.fu)
             return None
         self.fupool.record_issue(entry.fu, entry.is_shadow)
         return max(1, grant)
@@ -943,11 +909,9 @@ class Pipeline:
             return 1  # store-to-load forwarding inside the LSQ
         grant = self.fupool.acquire(FUClass.MEM_PORT, cycle, entry.is_shadow)
         if grant is None:
-            acct = self.accountant
-            if acct is not None:
-                acct.note_fu_block(
-                    self.fupool.blame(FUClass.MEM_PORT, cycle),
-                    entry.is_shadow,
+            if self.probe is not None:
+                self.probe.notify(
+                    "fu_block", cycle, entry, fu=FUClass.MEM_PORT
                 )
             return None
         self.fupool.record_issue(FUClass.MEM_PORT, entry.is_shadow)
@@ -958,15 +922,14 @@ class Pipeline:
     def _issue_r(self, budget: int) -> int:
         cycle = self.cycle
         rqueue = self.rqueue
-        observer = self.observer
-        acct = self.accountant
+        probe = self.probe
         for rentry in rqueue.waiting_entries():
             if not budget:
                 break
             grant = self.fupool.acquire(rentry.fu, cycle, True)
             if grant is None:
-                if acct is not None:
-                    acct.cyc_fu_block_r += 1
+                if probe is not None:
+                    probe.notify("fu_block", cycle, rentry=rentry)
                 continue  # FU busy: skip — R entries are independent
             self.fupool.record_issue(rentry.fu, True)
             if rentry.fu is FUClass.MEM_PORT:
@@ -975,13 +938,11 @@ class Pipeline:
                 latency = max(1, grant)
             rqueue.mark_issued(rentry)
             self._schedule_r(rentry, cycle + latency)
-            if observer is not None:
-                observer.notify(
+            if probe is not None:
+                probe.notify(
                     "r_issue", cycle, trace_seq=rentry.seq, rentry=rentry
                 )
             self.stats.issued_r += 1
-            if acct is not None:
-                acct.cyc_issued_r += 1
             budget -= 1
         return budget
 
@@ -1004,7 +965,7 @@ class Pipeline:
         ruu_size = self.config.ruu_size
         lsq_size = self.config.lsq_size
         ifq = self.ifq
-        acct = self.accountant
+        probe = self.probe
         while budget and ifq:
             entry = ifq[0]
             duplicate = (
@@ -1016,13 +977,15 @@ class Pipeline:
             slots_needed = 2 if duplicate else 1
             if len(self.ruu) > ruu_size - slots_needed:
                 self.stats.ruu_full_events += 1
-                if acct is not None:
-                    acct.cyc_dispatch_block = "ruu"
+                if probe is not None:
+                    probe.notify("dispatch_block", self.cycle, entry,
+                                 structure="ruu")
                 break
             if entry.is_mem and len(self.lsq) > lsq_size - slots_needed:
                 self.stats.lsq_full_events += 1
-                if acct is not None:
-                    acct.cyc_dispatch_block = "lsq"
+                if probe is not None:
+                    probe.notify("dispatch_block", self.cycle, entry,
+                                 structure="lsq")
                 break
             if duplicate and budget < 2:
                 break  # original and duplicate dispatch together
@@ -1036,8 +999,8 @@ class Pipeline:
                 budget -= 1
 
     def _dispatch_one(self, entry: _Entry) -> None:
-        if self.observer is not None:
-            self.observer.notify("dispatch", self.cycle, entry)
+        if self.probe is not None:
+            self.probe.notify("dispatch", self.cycle, entry)
         self._rename(entry)
         self.ruu.append(entry)
         if entry.is_mem:
@@ -1156,8 +1119,8 @@ class Pipeline:
         else:
             self.fetch_cursor += 1
         self.ifq.append(entry)
-        if self.observer is not None:
-            self.observer.notify("fetch", self.cycle, entry)
+        if self.probe is not None:
+            self.probe.notify("fetch", self.cycle, entry)
         return True
 
     def _predict_next(self, dyn: DynInst) -> int:
@@ -1217,8 +1180,8 @@ class Pipeline:
         else:
             self.wp_index = index + 1
         self.ifq.append(entry)
-        if self.observer is not None:
-            self.observer.notify("fetch", self.cycle, entry)
+        if self.probe is not None:
+            self.probe.notify("fetch", self.cycle, entry)
         return True
 
     def _make_entry(

@@ -89,8 +89,8 @@ from ..isa.instructions import Op
 from ..isa.registers import REG_RA
 from ..memhier.hierarchy import MemoryHierarchy
 from ..reese.faults import FaultModel
-from .accounting import CycleAccountant
 from .config import MachineConfig
+from .observe import Instrumentation
 from .pipeline import Pipeline
 from .stats import Stats
 
@@ -690,8 +690,7 @@ def _run_window(
     bounds: IntervalBounds,
     state: WarmState,
     fault_model: Optional[FaultModel],
-    observer,
-    accountant=None,
+    probe,
 ) -> Stats:
     """Detailed simulation of one interval window from a warm state."""
     warm_start, measure_start, end = bounds
@@ -701,11 +700,10 @@ def _run_window(
         resequence(trace, warm_start, pad_end),
         config,
         fault_model=fault_model,
-        observer=observer,
+        probe=probe,
         warm_state=state,
         measure_from=measure_start - warm_start,
         stop_after=end - 1 - warm_start,
-        accountant=accountant,
     )
     return pipeline.run()
 
@@ -718,8 +716,7 @@ def run_interval(
     index: int,
     fault_model: Optional[FaultModel] = None,
     warm: bool = True,
-    observer=None,
-    profile_run: bool = False,
+    instrument: Instrumentation = Instrumentation(),
 ) -> Stats:
     """Detailed simulation of one measurement interval, self-contained.
 
@@ -729,21 +726,20 @@ def run_interval(
     order.
 
     Args:
-        profile_run: attach a fresh
-            :class:`~repro.uarch.accounting.CycleAccountant` so the
-            interval's Stats carry a slot/cycle attribution account
-            covering exactly the measured window (the accountant
-            resets with every other counter at ``measure_from``).
+        instrument: probes to attach to the interval's pipeline.  With
+            ``profile`` the Stats carry a slot/cycle attribution
+            account covering exactly the measured window (the
+            account resets with every other counter at
+            ``measure_from``).
     """
     profile = None
     if spec.placement == "profile":
         profile = mispredict_profile(program, trace, config)
     bounds = select_intervals(len(trace), spec, profile)[index]
     state = build_warm_state(program, config, trace, bounds[0], warm=warm)
-    accountant = CycleAccountant() if profile_run else None
     return _run_window(
-        program, trace, config, spec, bounds, state, fault_model, observer,
-        accountant=accountant,
+        program, trace, config, spec, bounds, state, fault_model,
+        instrument.probe(),
     )
 
 
@@ -754,7 +750,7 @@ def run_sampled(
     spec: SamplingSpec,
     fault_factory: Optional[Callable[[int], Optional[FaultModel]]] = None,
     warm: bool = True,
-    profile_run: bool = False,
+    instrument: Instrumentation = Instrumentation(),
 ) -> SampledResult:
     """Sampled simulation of one workload, in process.
 
@@ -773,12 +769,15 @@ def run_sampled(
             in-process and fanned-out sampled runs bit-identical.
         warm: apply the full-trace warm pass first (the ``warm=True``
             semantics of the full-run path).
-        profile_run: attach a fresh accountant to every interval; the
-            aggregate view's attribution account is the sum of the
-            per-interval accounts (``Stats.merge``), under which the
-            completeness identities survive because each interval
-            satisfies them individually.
+        instrument: probes to attach, a fresh set per interval
+            (``trace_path`` must be unset: one file cannot hold every
+            interval).  The aggregate view's attribution account is
+            the sum of the per-interval accounts (``Stats.merge``),
+            under which the completeness identities survive because
+            each interval satisfies them individually.
     """
+    if instrument.trace_path:
+        raise ValueError("run_sampled cannot trace: one file per interval")
     total = len(trace)
     profile = None
     if spec.placement == "profile":
@@ -792,13 +791,11 @@ def run_sampled(
     for index, (warm_start, measure_start, end) in enumerate(bounds):
         sweep.advance(trace, cursor, warm_start)
         fault = fault_factory(index) if fault_factory else None
-        accountant = CycleAccountant() if profile_run else None
         interval_stats.append(
             _run_window(
                 program, trace, config, spec,
                 (warm_start, measure_start, end),
-                sweep.snapshot(), fault, None,
-                accountant=accountant,
+                sweep.snapshot(), fault, instrument.probe(),
             )
         )
         sweep.advance(trace, warm_start, end)

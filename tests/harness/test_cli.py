@@ -69,6 +69,22 @@ class TestCommands:
         assert "baseline" in out and "reese" in out
         assert "IPC ratio" in out
 
+    @pytest.mark.parametrize("command", ["bench", "compare"])
+    def test_single_benchmark_commands_use_the_runner_cache(
+        self, capsys, command
+    ):
+        """``bench`` and ``compare`` run through the ParallelRunner: a
+        rerun is all cache hits with identical stdout."""
+        argv = ["--scale", "600", "--jobs", "1", command, "go"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "(0 cache hits" in cold.err
+        jobs = 2 if command == "bench" else 3
+        assert f"{jobs} jobs ({jobs} cache hits" in warm.err
+
     def test_faults(self, capsys):
         code = main([
             "--scale", "1500", "faults",

@@ -1,9 +1,9 @@
-"""Harness plumbing for the observability layer.
+"""Harness plumbing for the probe layer.
 
 The observe module itself is unit-tested in tests/uarch/test_observe.py
 and the golden traces in tests/integration/test_trace_goldens.py; this
-file covers the glue: runner env gate, SimJob fingerprinting, CLI flags
-and the metrics report.
+file covers the glue: runner env gates, SimJob fingerprinting, CLI
+flags and the metrics report.
 """
 
 import json
@@ -13,10 +13,9 @@ import pytest
 from repro.harness.cli import build_parser, main
 from repro.harness.parallel import ParallelRunner, SimJob, job_fingerprint
 from repro.harness.reporting import metrics_report
-from repro.harness.runner import _env_observe, run_benchmark
-from repro.reese.faults import NoFaults, ScheduledFaultModel
+from repro.harness.runner import resolve_instrumentation, run_benchmark
 from repro.uarch.config import starting_config
-from repro.uarch.observe import ObserveConfig
+from repro.uarch.observe import Instrumentation
 from repro.uarch.stats import Stats
 
 
@@ -25,27 +24,50 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
 
+def _checked(faulted=False):
+    return resolve_instrumentation(None, faulted).check_invariants
+
+
 class TestEnvGate:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        assert _env_observe(None) is None
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        assert resolve_instrumentation(None, False) == Instrumentation()
 
     @pytest.mark.parametrize("value", ["", "0"])
     def test_disabled_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
-        assert _env_observe(None) is None
+        assert not _checked()
 
     def test_enabled_for_unfaulted_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        observe = _env_observe(None)
-        assert observe is not None and observe.check_invariants
-        assert _env_observe(NoFaults()) is not None
+        assert _checked()
+        explicit = Instrumentation(metrics=True, trace_path="t.jsonl")
+        assert resolve_instrumentation(explicit, False) == Instrumentation(
+            metrics=True, check_invariants=True, trace_path="t.jsonl"
+        )
 
     def test_skips_faulted_runs(self, monkeypatch):
         """Fault-injected runs commit corrupted values on purpose; the
         smoke gate must not turn those into invariant failures."""
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert _env_observe(ScheduledFaultModel([(0, 5, 1)])) is None
+        assert not _checked(faulted=True)
+        # An explicit request is still honoured.
+        assert resolve_instrumentation(
+            Instrumentation(check_invariants=True), True
+        ).check_invariants
+
+    def test_gate_is_folded_in_before_fingerprinting(self, monkeypatch):
+        """The cache key of a gated run records the checker, so a cache
+        entry from an unchecked run can never stand in for it."""
+        job = SimJob("go", starting_config(), 300)
+        runner = ParallelRunner(jobs=1, use_cache=False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        plain = job_fingerprint(runner._apply_defaults(job))
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        gated = runner._apply_defaults(job)
+        assert gated.instrument.check_invariants
+        assert job_fingerprint(gated) != plain
 
     def test_gated_benchmark_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
@@ -58,18 +80,20 @@ class TestJobFingerprint:
     def test_observability_is_part_of_the_key(self):
         base = SimJob("go", starting_config(), 300)
         assert job_fingerprint(base) != job_fingerprint(
-            SimJob("go", starting_config(), 300, observe=True)
+            SimJob("go", starting_config(), 300,
+                   instrument=Instrumentation(metrics=True))
         )
         assert job_fingerprint(base) != job_fingerprint(
-            SimJob("go", starting_config(), 300, check_invariants=True)
+            SimJob("go", starting_config(), 300,
+                   instrument=Instrumentation(check_invariants=True))
         )
 
     def test_trace_path_is_not(self):
         """Trace destination is a side effect, not part of the result."""
         with_path = SimJob("go", starting_config(), 300,
-                           trace_path="/tmp/a.jsonl")
+                           instrument=Instrumentation(trace_path="a.jsonl"))
         other_path = SimJob("go", starting_config(), 300,
-                            trace_path="/tmp/b.jsonl")
+                            instrument=Instrumentation(trace_path="b.jsonl"))
         assert job_fingerprint(with_path) == job_fingerprint(other_path)
         assert job_fingerprint(with_path) == job_fingerprint(
             SimJob("go", starting_config(), 300)

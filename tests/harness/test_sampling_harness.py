@@ -22,7 +22,12 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import run_sampled_benchmark
 from repro.harness.sweep import run_sweep
-from repro.uarch import SampledResult, SamplingSpec, run_sampled
+from repro.uarch import (
+    Instrumentation,
+    SampledResult,
+    SamplingSpec,
+    run_sampled,
+)
 from repro.uarch.config import starting_config
 from repro.workloads.suite import trace_for
 
@@ -86,7 +91,7 @@ class TestExpansion:
 
     def test_expands_one_job_per_interval(self):
         job = SimJob("li", starting_config(), SCALE, sampling=SPEC,
-                     trace_path="out.jsonl")
+                     instrument=Instrumentation(trace_path="out.jsonl"))
         interval_jobs, total, profile = expand_sampled_job(job)
         _, trace = trace_for("li", SCALE)
         assert total == len(trace)
@@ -94,7 +99,7 @@ class TestExpansion:
         assert [ij.sampling.index for ij in interval_jobs] == \
             list(range(len(interval_jobs)))
         # Trace-path side effects cannot be split across k pipelines.
-        assert all(ij.trace_path is None for ij in interval_jobs)
+        assert all(ij.instrument.trace_path is None for ij in interval_jobs)
 
     def test_injected_jobs_get_per_interval_seeds(self):
         fault = FaultSpec.make("environmental", rate=1e-4, duration=3,

@@ -1,0 +1,195 @@
+"""Byte-identity goldens for the probe layer.
+
+The goldens under ``tests/goldens/`` were produced by the simulator
+before its instrumentation moved behind the single pipeline probe
+(the older ``observer``/``accountant`` hooks and the ``PipeTrace``
+observer), so they pin that the move changed nothing a run computes:
+
+* ``timeline_pipeline_visualizer.txt`` — stdout of
+  ``examples/pipeline_visualizer.py``;
+* ``timelines.json`` — rendered stage timelines of further runs
+  (full tables, baseline, dispatch-dup, a faulted vortex run, a
+  5-record cap);
+* ``stats_payloads.json`` — ``Stats.state_dict()`` of small runs with
+  stage metrics and the cycle accountant on (REESE, baseline,
+  dispatch-dup, faulted REESE, a sampled interval and a whole sampled
+  run);
+* the ``job_fingerprint`` digests below.
+
+A deliberate change to the timing model or to a payload layout must
+regenerate them (and bump ``CACHE_VERSION`` for payload changes).
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import runpy
+
+import pytest
+
+from repro import assemble, emulate
+from repro.harness.parallel import CACHE_VERSION, SimJob, job_fingerprint
+from repro.harness.runner import run_benchmark
+from repro.reese import EnvironmentalFaultModel, ScheduledFaultModel
+from repro.uarch import (
+    CallbackSink,
+    EventTracer,
+    Instrumentation,
+    Pipeline,
+    Timeline,
+    starting_config,
+)
+from repro.uarch.sampling import SamplingSpec, run_interval, run_sampled
+from repro.workloads.suite import trace_for
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+GOLDEN_DIR = ROOT / "tests" / "goldens"
+VISUALIZER = ROOT / "examples" / "pipeline_visualizer.py"
+
+BASE = starting_config()
+SPEC = SamplingSpec(intervals=4, interval_length=120, warmup=40)
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestVisualizerGolden:
+    def test_example_output_matches_golden(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(VISUALIZER), run_name="__main__")
+        golden = (GOLDEN_DIR / "timeline_pipeline_visualizer.txt").read_text()
+        assert out.getvalue() == golden
+
+
+def _timeline(program, trace, config, fault=None, max_records=96,
+              warm=False) -> str:
+    events = []
+    Pipeline(program, trace, config, fault_model=fault,
+             probe=EventTracer(CallbackSink(events.append)),
+             warm_caches=warm, warm_predictor=warm).run()
+    return Timeline(events, trace, max_records=max_records).render()
+
+
+def _vis():
+    source = runpy.run_path(str(VISUALIZER))["SOURCE"]
+    program = assemble(source, name="vis")
+    return program, emulate(program).trace
+
+
+def _vis_faults():
+    return ScheduledFaultModel([(c, 2, 5) for c in range(12, 60, 4)])
+
+
+TIMELINES = {
+    "vis_clean_full": lambda: _timeline(*_vis(), BASE.with_reese()),
+    "vis_faulted_full": lambda: _timeline(*_vis(), BASE.with_reese(),
+                                          _vis_faults()),
+    "vis_baseline": lambda: _timeline(*_vis(), BASE),
+    "vis_dispatch_dup": lambda: _timeline(*_vis(), BASE.with_dispatch_dup()),
+    "vis_cap5": lambda: _timeline(*_vis(), BASE.with_reese(), max_records=5),
+    "vortex_faulted_s3000": lambda: _timeline(
+        *trace_for("vortex", 3000), BASE.with_reese(),
+        ScheduledFaultModel([(c, 2, 9) for c in range(50, 600, 50)]),
+        max_records=256, warm=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMELINES))
+def test_timeline_matches_golden(case):
+    golden = json.loads((GOLDEN_DIR / "timelines.json").read_text())
+    assert TIMELINES[case]() == golden[case]
+
+
+_CHECKED = Instrumentation(metrics=True, check_invariants=True, profile=True)
+_PROFILED = Instrumentation(metrics=True, profile=True)
+
+
+def _sampled_interval():
+    program, trace = trace_for("go", 2000)
+    return run_interval(program, trace, BASE.with_reese(), SPEC, 2,
+                        instrument=_PROFILED)
+
+
+def _sampled_whole():
+    program, trace = trace_for("go", 2000)
+    return run_sampled(program, trace, BASE.with_reese(), SPEC,
+                       instrument=Instrumentation(profile=True)).stats
+
+
+PAYLOADS = {
+    "reese_gcc": lambda: run_benchmark(
+        "gcc", BASE.with_reese(), scale=800, instrument=_CHECKED),
+    "baseline_gcc": lambda: run_benchmark(
+        "gcc", BASE, scale=800, instrument=_CHECKED),
+    "dispatch_dup_li": lambda: run_benchmark(
+        "li", BASE.with_dispatch_dup(), scale=800, instrument=_CHECKED),
+    "faulted_reese_vortex": lambda: run_benchmark(
+        "vortex", BASE.with_reese(), scale=800,
+        fault_model=EnvironmentalFaultModel(rate=5e-3, duration=2, seed=11),
+        instrument=_PROFILED),
+    "sampled_interval_go": _sampled_interval,
+    "sampled_whole_go": _sampled_whole,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOADS))
+def test_stats_payload_matches_golden(case):
+    golden = json.loads((GOLDEN_DIR / "stats_payloads.json").read_text())
+    assert _canonical(PAYLOADS[case]().state_dict()) == _canonical(
+        golden[case]
+    )
+
+
+#: name -> (job, digest) — literal digests, so any change to the key
+#: layout or to how instrumentation enters it shows up here.
+FINGERPRINTS = {
+    "plain": (
+        SimJob("go", BASE, 300),
+        "a6ecf74bd0cedb65c708762106afdea931b226e077f851eb1aa4ac546d428d4d",
+    ),
+    "observed": (
+        SimJob("go", BASE, 300, instrument=Instrumentation(metrics=True)),
+        "21399cee6a67c9b3159bad812ab9f625047c7684e2e84d8abddb42fa6973c1db",
+    ),
+    "checked": (
+        SimJob("go", BASE, 300,
+               instrument=Instrumentation(check_invariants=True)),
+        "f52346f3a553720f7c06d2f816328799f7f541e912cc49f5174b2fff7acc8567",
+    ),
+    "profiled": (
+        SimJob("go", BASE.with_reese(), 300,
+               instrument=Instrumentation(profile=True)),
+        "8b6ffdb09b85e19c5b3f21ddb45d8dbd4a549987bfa6b6aae94768904ca54d63",
+    ),
+    "traced": (
+        SimJob("go", BASE, 300,
+               instrument=Instrumentation(trace_path="out.jsonl")),
+        "a6ecf74bd0cedb65c708762106afdea931b226e077f851eb1aa4ac546d428d4d",
+    ),
+    "all": (
+        SimJob("gcc", BASE.with_reese(), 300,
+               instrument=Instrumentation(
+                   metrics=True, check_invariants=True, profile=True,
+                   trace_path="t.jsonl")),
+        "9ab66337916f14f5c6c5e1b86523c184570d7c7d287c7aef4c999ab623bd5b2d",
+    ),
+    "sampled": (
+        SimJob("li", BASE, 2000, sampling=SPEC,
+               instrument=Instrumentation(profile=True)),
+        "8e37c544964c2623a311bf620cfd29a3110d8617835c2e03c145185c5879c6a3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINGERPRINTS))
+def test_fingerprint_digest_is_unchanged(case):
+    job, digest = FINGERPRINTS[case]
+    assert job_fingerprint(job) == digest
+
+
+def test_cache_version_is_unchanged():
+    assert CACHE_VERSION == 4

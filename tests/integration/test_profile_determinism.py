@@ -13,6 +13,7 @@ import pytest
 
 from repro.harness.parallel import ParallelRunner, SimJob
 from repro.uarch.config import starting_config
+from repro.uarch.observe import Instrumentation
 
 
 @pytest.fixture(autouse=True)
@@ -22,10 +23,11 @@ def _isolated_cache(tmp_path, monkeypatch):
 
 def _profiled_jobs():
     config = starting_config()
+    profile = Instrumentation(profile=True)
     return [
-        SimJob("go", config, 400, profile=True),
-        SimJob("go", config.with_reese(), 400, profile=True),
-        SimJob("vortex", config.with_reese(), 400, profile=True),
+        SimJob("go", config, 400, instrument=profile),
+        SimJob("go", config.with_reese(), 400, instrument=profile),
+        SimJob("vortex", config.with_reese(), 400, instrument=profile),
     ]
 
 

@@ -12,12 +12,14 @@ re-generate the goldens:
 
     PYTHONPATH=src python - <<'PY'
     from repro.harness.parallel import ParallelRunner, SimJob
-    from repro.uarch.config import starting_config
+    from repro.uarch import Instrumentation, starting_config
     ParallelRunner(jobs=1, use_cache=False).run([
         SimJob("vortex", starting_config().with_reese(), 120,
-               trace_path="tests/goldens/trace_vortex_reese_s120.jsonl"),
+               instrument=Instrumentation(
+                   trace_path="tests/goldens/trace_vortex_reese_s120.jsonl")),
         SimJob("go", starting_config(), 120,
-               trace_path="tests/goldens/trace_go_baseline_s120.jsonl"),
+               instrument=Instrumentation(
+                   trace_path="tests/goldens/trace_go_baseline_s120.jsonl")),
     ])
     PY
 
@@ -31,7 +33,7 @@ import pytest
 
 from repro.harness.parallel import ParallelRunner, SimJob
 from repro.uarch.config import starting_config
-from repro.uarch.observe import EVENT_KINDS
+from repro.uarch.observe import EVENT_KINDS, Instrumentation
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "goldens"
 
@@ -42,11 +44,12 @@ CASES = {
     "vortex_reese": (
         "trace_vortex_reese_s120.jsonl",
         lambda path: SimJob("vortex", starting_config().with_reese(), 120,
-                            trace_path=path),
+                            instrument=Instrumentation(trace_path=path)),
     ),
     "go_baseline": (
         "trace_go_baseline_s120.jsonl",
-        lambda path: SimJob("go", starting_config(), 120, trace_path=path),
+        lambda path: SimJob("go", starting_config(), 120,
+                            instrument=Instrumentation(trace_path=path)),
     ),
 }
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.uarch import Pipeline, starting_config
-from repro.uarch.observe import Observability, InvariantChecker, StageMetrics
+from repro.uarch.observe import InvariantChecker, ProbeSet, StageMetrics
 from repro.workloads import MixProfile, generate_program
 
 
@@ -49,8 +49,7 @@ class TestInvariantProperties:
     def test_checker_passes_on_unfaulted_pipelines(self, data, config):
         program, trace = data
         checker = InvariantChecker()
-        stats = Pipeline(program, trace, config,
-                         observer=Observability(checker=checker)).run()
+        stats = Pipeline(program, trace, config, probe=checker).run()
         assert stats.committed == len(trace)
         assert checker.violations == []
 
@@ -60,7 +59,7 @@ class TestInvariantProperties:
         program, trace = data
         metrics = StageMetrics()
         stats = Pipeline(program, trace, starting_config().with_reese(),
-                         observer=Observability(metrics=metrics)).run()
+                         probe=metrics).run()
         registry = stats.stage_metrics
         assert registry["cycles_sampled"] == stats.cycles
         for hist in registry["occupancy"].values():
@@ -69,14 +68,13 @@ class TestInvariantProperties:
     @given(program_and_trace())
     @settings(max_examples=8, deadline=None)
     def test_observed_run_matches_unobserved(self, data):
-        """Attaching the full observer never perturbs the simulation."""
+        """Attaching probes never perturbs the simulation."""
         program, trace = data
         config = starting_config().with_reese()
         plain = Pipeline(program, trace, config).run()
         observed = Pipeline(
             program, trace, config,
-            observer=Observability(metrics=StageMetrics(),
-                                   checker=InvariantChecker()),
+            probe=ProbeSet([StageMetrics(), InvariantChecker()]),
         ).run()
         assert observed.cycles == plain.cycles
         assert observed.committed == plain.committed

@@ -176,7 +176,6 @@ class TestFUBlame:
     def test_blame_r_when_r_holds_unit(self):
         config = starting_config()
         pool = FUPool(config)
-        pool.track_streams = True
         for _ in range(config.int_alu):
             assert pool.acquire(FUClass.INT_ALU, 0, r_stream=True) is not None
         assert pool.acquire(FUClass.INT_ALU, 0) is None
@@ -185,17 +184,20 @@ class TestFUBlame:
     def test_blame_p_when_p_holds_unit(self):
         config = starting_config()
         pool = FUPool(config)
-        pool.track_streams = True
         for _ in range(config.int_mult):
             assert pool.acquire(FUClass.INT_DIV, 0) is not None
         assert pool.blame(FUClass.INT_DIV, 0) == "P"
 
-    def test_blame_untracked_defaults_to_p(self):
+    def test_p_acquire_clears_r_watermark(self):
+        """A unit an R op held, then re-taken by P work, blames P."""
         config = starting_config()
-        pool = FUPool(config)  # track_streams off
+        pool = FUPool(config)
         for _ in range(config.int_alu):
             pool.acquire(FUClass.INT_ALU, 0, r_stream=True)
-        assert pool.blame(FUClass.INT_ALU, 0) == "P"
+        for _ in range(config.int_alu):
+            assert pool.acquire(FUClass.INT_ALU, 1) is not None
+        assert pool.acquire(FUClass.INT_ALU, 1) is None
+        assert pool.blame(FUClass.INT_ALU, 1) == "P"
 
 
 class TestStateDictAndMerge:

@@ -58,30 +58,3 @@ class TestAvailability:
         pool.acquire(FUClass.INT_ALU, 0)
         assert pool.available(FUClass.INT_ALU, 0) == 3
         assert pool.available(FUClass.INT_ALU, 1) == 4
-
-    def test_utilization(self, pool):
-        pool.acquire(FUClass.INT_ALU, 0)
-        pool.record_issue(FUClass.INT_ALU)
-        util = pool.utilization(cycles=10)
-        assert util["ialu"] == pytest.approx(1 / 40)
-        assert util["mem"] == 0.0
-
-    def test_utilization_split_by_stream(self, pool):
-        for _ in range(3):
-            pool.record_issue(FUClass.INT_ALU)
-        pool.record_issue(FUClass.INT_ALU, r_stream=True)
-        split = pool.utilization_split(cycles=10)
-        assert split["P"]["ialu"] == pytest.approx(3 / 40)
-        assert split["R"]["ialu"] == pytest.approx(1 / 40)
-        # P + R always recompose the combined utilization.
-        combined = pool.utilization(cycles=10)
-        for key in combined:
-            assert split["P"][key] + split["R"][key] == pytest.approx(
-                combined[key]
-            )
-
-    def test_utilization_split_zero_cycles(self, pool):
-        split = pool.utilization_split(cycles=0)
-        assert set(split) == {"P", "R"}
-        assert all(v == 0.0 for v in split["P"].values())
-        assert all(v == 0.0 for v in split["R"].values())

@@ -1,4 +1,4 @@
-"""Unit tests for the observability layer (repro.uarch.observe)."""
+"""Unit tests for the probe layer (repro.uarch.observe)."""
 
 import json
 from types import SimpleNamespace
@@ -11,22 +11,23 @@ from repro.reese.comparator import p_value
 from repro.reese.faults import corrupt_value
 from repro.reese.rqueue import REntry
 from repro.uarch import Pipeline, starting_config
+from repro.uarch.accounting import CycleAccountant
 from repro.uarch.observe import (
     EVENT_KINDS,
     INVARIANTS,
     CallbackSink,
     EventTracer,
+    Instrumentation,
     InvariantChecker,
     InvariantViolation,
     JSONLSink,
-    Observability,
-    ObserveConfig,
+    ProbeSet,
     RingBufferSink,
     StageMetrics,
     TraceEvent,
-    build_observability,
     occupancy_mean,
 )
+from repro.uarch.stats import Stats
 
 
 class TestTraceEvent:
@@ -90,8 +91,7 @@ class TestSinks:
 class TestEventTracer:
     def _traced_run(self, program, trace, config):
         sink = RingBufferSink(capacity=100_000)
-        pipe = Pipeline(program, trace, config,
-                        observer=Observability(tracer=EventTracer(sink)))
+        pipe = Pipeline(program, trace, config, probe=EventTracer(sink))
         stats = pipe.run()
         return stats, sink.events()
 
@@ -129,7 +129,7 @@ class TestStageMetrics:
         program, trace = mixed_trace
         metrics = StageMetrics()
         stats = Pipeline(program, trace, cfg.with_reese(),
-                         observer=Observability(metrics=metrics)).run()
+                         probe=metrics).run()
         registry = stats.stage_metrics
         assert registry["cycles_sampled"] == stats.cycles
         for key in StageMetrics.STRUCTURES:
@@ -142,7 +142,7 @@ class TestStageMetrics:
         program, trace = mixed_trace
         stats = Pipeline(
             program, trace, cfg.with_reese(),
-            observer=Observability(metrics=StageMetrics()),
+            probe=StageMetrics(),
         ).run()
         fu = stats.stage_metrics["fu_issued"]
         assert sum(fu["R"].values()) == stats.issued_r
@@ -150,8 +150,7 @@ class TestStageMetrics:
 
     def test_stall_counters_present(self, loop_trace, cfg):
         program, trace = loop_trace
-        stats = Pipeline(program, trace, cfg,
-                         observer=Observability(metrics=StageMetrics())).run()
+        stats = Pipeline(program, trace, cfg, probe=StageMetrics()).run()
         stalls = stats.stage_metrics["stalls"]
         assert set(stalls) == set(StageMetrics.STALLS)
         assert all(0 <= count <= stats.cycles for count in stalls.values())
@@ -176,8 +175,7 @@ class TestInvariantChecker:
         program, trace = mixed_trace
         for config in (cfg, cfg.with_reese(), cfg.with_dispatch_dup()):
             checker = InvariantChecker()
-            stats = Pipeline(program, trace, config,
-                             observer=Observability(checker=checker)).run()
+            stats = Pipeline(program, trace, config, probe=checker).run()
             assert stats.committed == len(trace)
             assert checker.violations == []
             assert checker.checks > 0
@@ -231,42 +229,46 @@ class TestInvariantChecker:
 
 
 class TestObserveConfig:
+    """The :class:`Instrumentation` value and the probes it builds."""
+
     def test_disabled_by_default(self):
-        assert not ObserveConfig().enabled
-        assert build_observability(None) is None
-        assert build_observability(ObserveConfig()) is None
+        assert Instrumentation().probe() is None
 
     @pytest.mark.parametrize("kwargs", [
         dict(metrics=True),
         dict(check_invariants=True),
         dict(trace_path="x.jsonl"),
-        dict(ring_capacity=16),
+        dict(profile=True),
     ])
-    def test_any_piece_enables(self, kwargs):
-        assert ObserveConfig(**kwargs).enabled
+    def test_any_piece_enables(self, kwargs, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        probe = Instrumentation(**kwargs).probe()
+        assert probe is not None and not isinstance(probe, ProbeSet)
+        probe.finalize(Stats())  # closes the trace file, if any
 
     def test_build_composes_requested_pieces(self, tmp_path):
-        observer = build_observability(ObserveConfig(
+        probe = Instrumentation(
             metrics=True,
             check_invariants=True,
+            profile=True,
             trace_path=str(tmp_path / "t.jsonl"),
-            ring_capacity=8,
-        ))
-        assert observer.metrics is not None
-        assert observer.checker is not None
-        assert observer.tracer is not None
-        observer.tracer.sink.close()
+        ).probe()
+        assert [type(p) for p in probe.probes] == [
+            StageMetrics, InvariantChecker, EventTracer, CycleAccountant
+        ]
+        probe.probes[2].sink.close()
 
     def test_full_stack_end_to_end(self, mixed_trace, cfg, tmp_path):
         program, trace = mixed_trace
         path = tmp_path / "trace.jsonl"
-        observer = build_observability(ObserveConfig(
-            metrics=True, check_invariants=True, trace_path=str(path)
-        ))
-        stats = Pipeline(program, trace, cfg.with_reese(),
-                         observer=observer).run()
+        probe = Instrumentation(
+            metrics=True, check_invariants=True, profile=True,
+            trace_path=str(path),
+        ).probe()
+        stats = Pipeline(program, trace, cfg.with_reese(), probe=probe).run()
         assert stats.committed == len(trace)
         assert stats.stage_metrics["cycles_sampled"] == stats.cycles
+        assert stats.accounting["cycles_total"] == stats.cycles
         lines = path.read_text().splitlines()
         assert lines, "trace file must not be empty"
         assert all(json.loads(line)["kind"] in EVENT_KINDS for line in lines)

@@ -1,42 +1,55 @@
-"""Tests for the pipeline tracer (ptrace)."""
+"""Tests for the ptrace-style stage timelines (``observe.Timeline``)."""
 
 import pytest
 
 from repro.arch import emulate
 from repro.isa import assemble
-from repro.uarch import Pipeline, starting_config
-from repro.uarch.ptrace import PipeTrace
+from repro.uarch import (
+    CallbackSink,
+    EventTracer,
+    Pipeline,
+    Timeline,
+    starting_config,
+)
+
+
+def timeline_of(program, trace, config, max_records=256, **kwargs):
+    """Run the pipeline with an event tracer; (Timeline, Stats, events)."""
+    events = []
+    stats = Pipeline(
+        program, trace, config,
+        probe=EventTracer(CallbackSink(events.append)), **kwargs
+    ).run()
+    return Timeline(events, trace, max_records=max_records), stats, events
 
 
 @pytest.fixture
 def traced_run(loop_trace):
     program, trace = loop_trace
-    tracer = PipeTrace(max_records=128)
-    stats = Pipeline(
-        program, trace, starting_config(), observer=tracer
-    ).run()
-    return tracer, stats
+    timeline, stats, events = timeline_of(
+        program, trace, starting_config(), max_records=128
+    )
+    assert events
+    return timeline, stats
 
 
 class TestStageTimelines:
     def test_records_created(self, traced_run):
-        tracer, _ = traced_run
-        assert len(tracer) > 0
-        assert tracer.events > 0
+        timeline, _ = traced_run
+        assert len(timeline.rows) > 0
 
     def test_stage_order_monotonic(self, traced_run):
-        tracer, _ = traced_run
-        for seq in list(tracer._records)[:50]:
-            record = tracer.record_for(seq)
+        timeline, _ = traced_run
+        for record in list(timeline.rows.values())[:50]:
             stages = record.stages
             order = ["F", "D", "I", "X", "C"]
             present = [stages[s] for s in order if s in stages]
             assert present == sorted(present), record.op
 
     def test_committed_instructions_reach_commit_stage(self, traced_run):
-        tracer, _ = traced_run
+        timeline, _ = traced_run
         committed = [
-            r for r in tracer._records.values()
+            r for r in timeline.rows.values()
             if "C" in r.stages
         ]
         assert committed
@@ -44,34 +57,34 @@ class TestStageTimelines:
             assert not record.wrong_path
 
     def test_render(self, traced_run):
-        tracer, _ = traced_run
-        text = tracer.render(limit=10)
+        timeline, _ = traced_run
+        text = timeline.render(limit=10)
         assert "seq" in text
         assert "addi" in text or "add" in text
 
     def test_max_records_bounds_memory(self, loop_trace):
         program, trace = loop_trace
-        tracer = PipeTrace(max_records=5)
-        Pipeline(program, trace, starting_config(), observer=tracer).run()
-        assert len(tracer) == 5
+        timeline, _, _ = timeline_of(
+            program, trace, starting_config(), max_records=5
+        )
+        assert len(timeline.rows) == 5
+        assert len(timeline.render().splitlines()) == 2 + 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PipeTrace(max_records=0)
+            Timeline([], [], max_records=0)
 
 
 class TestReeseEvents:
     def test_rqueue_and_r_issue_recorded(self, loop_trace):
         program, trace = loop_trace
-        tracer = PipeTrace(max_records=256)
-        Pipeline(
-            program, trace, starting_config().with_reese(),
-            observer=tracer,
-        ).run()
+        timeline, _, _ = timeline_of(
+            program, trace, starting_config().with_reese()
+        )
         with_queue = [
-            r for r in tracer._records.values() if "Q" in r.stages
+            r for r in timeline.rows.values() if "Q" in r.stages
         ]
-        with_r = [r for r in tracer._records.values() if "R" in r.stages]
+        with_r = [r for r in timeline.rows.values() if "R" in r.stages]
         assert with_queue
         assert with_r
         for record in with_r:
@@ -82,15 +95,13 @@ class TestReeseEvents:
         from repro.reese import ScheduledFaultModel
         from repro.workloads.suite import trace_for
         program, trace = trace_for("vortex", scale=3000)
-        tracer = PipeTrace()
         model = ScheduledFaultModel([(c, 2, 9) for c in range(50, 600, 50)])
-        Pipeline(
+        timeline, stats, _ = timeline_of(
             program, trace, starting_config().with_reese(),
-            fault_model=model, observer=tracer,
-            warm_caches=True, warm_predictor=True,
-        ).run()
-        assert tracer.recoveries
-        assert "recoveries at cycles" in tracer.render(limit=1)
+            fault_model=model, warm_caches=True, warm_predictor=True,
+        )
+        assert len(timeline.recoveries) == stats.recoveries > 0
+        assert "recoveries at cycles" in timeline.render(limit=1)
 
 
 class TestWrongPathVisibility:
@@ -114,14 +125,14 @@ class TestWrongPathVisibility:
         """
         program = assemble(source)
         trace = emulate(program).trace
-        tracer = PipeTrace(max_records=2048)
-        stats = Pipeline(
-            program, trace, starting_config(), observer=tracer
-        ).run()
+        timeline, stats, _ = timeline_of(
+            program, trace, starting_config(), max_records=2048
+        )
         assert stats.mispredictions > 0
         wrong_path = [
-            r for r in tracer._records.values() if r.wrong_path
+            r for r in timeline.rows.values() if r.wrong_path
         ]
         assert wrong_path
-        rendered = tracer.render()
+        assert all(r.pc == 0 and r.iseq is None for r in wrong_path)
+        rendered = timeline.render()
         assert "wrong-path" in rendered
