@@ -61,10 +61,12 @@ from ..reese.faults import (
 )
 from ..uarch.config import MachineConfig
 from ..uarch.observe import Instrumentation
-from ..uarch.sampling import (
+# mispredict_profile stays importable from here for existing callers.
+from ..uarch.sampling import (  # noqa: F401
     SampledResult,
     SamplingSpec,
     mispredict_profile,
+    profile_for,
     run_interval,
     run_sampled,
     select_intervals,
@@ -553,7 +555,7 @@ def expand_sampled_job(
     program, trace = trace_for(job.benchmark, job.scale, job.seed)
     profile = None
     if spec.placement == "profile":
-        profile = mispredict_profile(program, trace, job.config)
+        profile = profile_for(program, trace, job.config)
     bounds = select_intervals(len(trace), spec, profile)
     interval_jobs = []
     for index in range(len(bounds)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,9 @@ class Cache:
     rather than per-line objects: the sampled-simulation engine
     snapshots whole hierarchies at every measurement interval, and
     ``list(...)`` copies of flat arrays are an order of magnitude
-    cheaper than rebuilding ~10k line objects.
+    cheaper than rebuilding ~10k line objects.  For the same reason
+    each set's replacement order is an immutable tuple that an update
+    replaces, so a snapshot shares the tuples instead of copying them.
     """
 
     def __init__(
@@ -87,7 +89,9 @@ class Cache:
         self.params = params
         self.next_level = next_level
         self.miss_latency = miss_latency
-        self._rng = random.Random(seed)
+        # Only the random policy draws from the RNG; the others skip
+        # building (and snapshotting) its 2.5 KB state.
+        self._rng = random.Random(seed) if params.policy == "random" else None
         self._line_shift = params.line_size.bit_length() - 1
         self._set_mask = params.n_sets - 1
         self._assoc = params.assoc
@@ -96,9 +100,9 @@ class Cache:
         self._valid: List[bool] = [False] * n_lines
         self._dirty: List[bool] = [False] * n_lines
         # Per-set replacement order: way indices, index 0 = next victim.
-        self._order: List[List[int]] = [
-            list(range(params.assoc)) for _ in range(params.n_sets)
-        ]
+        self._order: List[Tuple[int, ...]] = (
+            [tuple(range(params.assoc))] * params.n_sets
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -116,7 +120,6 @@ class Cache:
         base = set_index * self._assoc
         tags = self._tags
         valid = self._valid
-        order = self._order[set_index]
 
         for way in range(self._assoc):
             slot = base + way
@@ -125,8 +128,7 @@ class Cache:
                 if is_write:
                     self._dirty[slot] = True
                 if params.policy == "lru":
-                    order.remove(way)
-                    order.append(way)
+                    self._promote(set_index, way)
                 return params.hit_latency
 
         # Miss: fetch from the next level, then fill.
@@ -147,8 +149,7 @@ class Cache:
         valid[slot] = True
         self._dirty[slot] = is_write
         if params.policy in ("lru", "fifo"):
-            order.remove(victim_way)
-            order.append(victim_way)
+            self._promote(set_index, victim_way)
         if params.prefetch_next_line:
             self._prefetch(addr + params.line_size)
         return params.hit_latency + fill_latency
@@ -173,9 +174,14 @@ class Cache:
         self._valid[slot] = True
         self._dirty[slot] = False
         if self.params.policy in ("lru", "fifo"):
-            order = self._order[set_index]
-            order.remove(victim_way)
-            order.append(victim_way)
+            self._promote(set_index, victim_way)
+
+    def _promote(self, set_index: int, way: int) -> None:
+        """Move ``way`` to the most-recent end of its set's order."""
+        order = self._order[set_index]
+        if order[-1] != way:
+            cut = order.index(way)
+            self._order[set_index] = order[:cut] + order[cut + 1:] + (way,)
 
     def probe(self, addr: int) -> bool:
         """True if the address currently hits, without changing state."""
@@ -237,15 +243,17 @@ class Cache:
         clone.params = self.params
         clone.next_level = next_level
         clone.miss_latency = self.miss_latency
-        clone._rng = random.Random()
-        clone._rng.setstate(self._rng.getstate())
+        clone._rng = None
+        if self._rng is not None:
+            clone._rng = random.Random()
+            clone._rng.setstate(self._rng.getstate())
         clone._line_shift = self._line_shift
         clone._set_mask = self._set_mask
         clone._assoc = self._assoc
         clone._tags = list(self._tags)
         clone._valid = list(self._valid)
         clone._dirty = list(self._dirty)
-        clone._order = [list(order) for order in self._order]
+        clone._order = list(self._order)
         clone.hits = self.hits
         clone.misses = self.misses
         clone.evictions = self.evictions

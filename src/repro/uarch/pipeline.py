@@ -923,16 +923,25 @@ class Pipeline:
         cycle = self.cycle
         rqueue = self.rqueue
         probe = self.probe
+        acquire = self.fupool.acquire
+        # FU classes already found busy this cycle: nothing frees a unit
+        # within the call, so a second acquire would fail too.
+        full = []
         for rentry in rqueue.waiting_entries():
             if not budget:
                 break
-            grant = self.fupool.acquire(rentry.fu, cycle, True)
+            fu = rentry.fu
+            grant = None
+            if fu not in full:
+                grant = acquire(fu, cycle, True)
+                if grant is None:
+                    full.append(fu)
             if grant is None:
                 if probe is not None:
                     probe.notify("fu_block", cycle, rentry=rentry)
                 continue  # FU busy: skip — R entries are independent
-            self.fupool.record_issue(rentry.fu, True)
-            if rentry.fu is FUClass.MEM_PORT:
+            self.fupool.record_issue(fu, True)
+            if fu is FUClass.MEM_PORT:
                 latency = self._l1d_hit  # R loads always hit in L1 (§4.4)
             else:
                 latency = max(1, grant)

@@ -44,12 +44,15 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   deterministic fold: (1) the full-trace architectural warm pass
   (identical to ``warm=True`` full runs — the paper's caches run warm)
   then (2) a functional replay of the prefix ``[0, w)``.  The fold
-  depends only on ``(trace, config, w)``, so an interval simulated
-  in-process and the same interval simulated as an independent
-  :class:`~repro.harness.parallel.SimJob` in a worker produce
-  **bit-identical Stats** — the property the jobs-invariance tests pin.
-  Snapshots use the model classes' cheap ``clone_state`` methods, not
-  ``copy.deepcopy``.
+  depends only on ``(trace, fold_key(config), w)``, so an interval
+  simulated in-process and the same interval simulated as an
+  independent :class:`~repro.harness.parallel.SimJob` in a worker
+  produce **bit-identical Stats** — the property the jobs-invariance
+  tests pin.  Each process keeps its latest sweep (:func:`warm_state_at`)
+  and latest profile (:func:`profile_for`) and serves later windows
+  of the same trace from them, so a cell's interval jobs replay the
+  trace about once in total rather than once each.  Snapshots use the
+  model classes' cheap ``clone_state`` methods, not ``copy.deepcopy``.
 * **Detailed warm-up and drain padding** bound the two truncation
   biases of short intervals.  The pipeline runs ``warmup`` extra
   instructions before the measured region and resets every statistic
@@ -313,15 +316,14 @@ class WarmState:
     cold at every interval.  Both are single fused loops: the sweep is
     the dominant cost of a sampled run, so one trace iteration per
     pass matters.
+
+    The state depends on ``config`` only through :func:`fold_key`.
     """
 
-    __slots__ = (
-        "program", "config", "mem", "predictor", "btb", "ras", "_line_shift"
-    )
+    __slots__ = ("program", "mem", "predictor", "btb", "ras", "_line_shift")
 
     def __init__(self, program, config: MachineConfig) -> None:
         self.program = program
-        self.config = config
         self.mem = MemoryHierarchy(config.mem)
         self.predictor = make_predictor(
             config.predictor, **config.predictor_kwargs
@@ -400,7 +402,6 @@ class WarmState:
         """An isolated copy with measurement statistics zeroed."""
         clone = WarmState.__new__(WarmState)
         clone.program = self.program
-        clone.config = self.config
         clone.mem = self.mem.clone_state()
         clone.predictor = self.predictor.clone_state()
         clone.btb = self.btb.clone_state()
@@ -427,15 +428,123 @@ def build_warm_state(
     """Self-contained warm state for a detailed window starting at
     ``start``.
 
-    Used by the per-interval job path; the in-process driver reaches
-    the identical state incrementally (the fold is associative over
-    trace prefixes).
+    The reference definition of the fold, built from scratch on every
+    call.  The interval paths use :func:`warm_state_at`, which reaches
+    the identical state from a shared sweep (the fold is associative
+    over trace prefixes).
     """
     state = WarmState(program, config)
     if warm:
         state.warm_full(trace)
     state.advance(trace, 0, start)
     return state.snapshot()
+
+
+def fold_key(config: MachineConfig) -> tuple:
+    """The config fields that the warm fold and the mispredict profile
+    read.
+
+    Configs with equal keys warm identically.  Every other field
+    (widths, functional units, RUU/LSQ, latencies, REESE, dispatch
+    duplication) only shapes the detailed window, so the five series
+    of a figure share one sweep and one profile per trace.
+    """
+    return (config.mem, config.predictor, config.predictor_kwargs,
+            config.btb_entries, config.ras_depth)
+
+
+class _Memo:
+    """The latest value of one trace fold in this process.
+
+    Holds strong references to the program and trace, so a hit is an
+    identity match on live objects: an ``id`` could be reused once an
+    evicted trace is freed, an ``is`` test against a held object
+    cannot.  Traces are never mutated after emulation.  A sweep memo
+    also keeps its state at trace position 0 (``origin``) and how far
+    ``value`` has advanced (``cursor``).
+    """
+
+    __slots__ = ("program", "trace", "key", "value", "origin", "cursor")
+
+    def __init__(self, program, trace: Trace, key, value) -> None:
+        self.program = program
+        self.trace = trace
+        self.key = key
+        self.value = value
+        self.origin: Optional[WarmState] = None
+        self.cursor = 0
+
+    def matches(self, program, trace: Trace, key) -> bool:
+        return (self.trace is trace and self.program is program
+                and self.key == key)
+
+
+#: This process's latest mispredict profile and latest warm-up sweep
+#: (see :func:`profile_for` and :func:`warm_state_at`): one of each,
+#: so the memos keep at most two evicted traces alive.
+_profile_memo: Optional[_Memo] = None
+_sweep_memo: Optional[_Memo] = None
+
+
+def profile_for(program, trace: Trace, config: MachineConfig) -> List[int]:
+    """:func:`mispredict_profile`, reused while the trace and
+    :func:`fold_key` stay the same.
+
+    Every interval job of a sampled cell, and every cell on the same
+    trace, selects its windows from the same prefix sums.  Callers
+    must not mutate the returned list.
+    """
+    global _profile_memo
+    key = fold_key(config)
+    memo = _profile_memo
+    if memo is None or not memo.matches(program, trace, key):
+        memo = _profile_memo = _Memo(
+            program, trace, key, mispredict_profile(program, trace, config)
+        )
+    return memo.value
+
+
+def warm_state_at(
+    program,
+    config: MachineConfig,
+    trace: Trace,
+    start: int,
+    warm: bool = True,
+) -> WarmState:
+    """The state :func:`build_warm_state` returns, taken from this
+    process's latest warm-up sweep.
+
+    The sweep is keyed by trace identity, :func:`fold_key` and
+    ``warm``.  A window starting at or after the sweep's cursor
+    advances the sweep to ``start`` and snapshots it.  An earlier
+    start rewinds the sweep to its kept position-0 state (after the
+    warm pass) and advances from there; another trace or key begins a
+    new sweep.  So interval jobs arriving in trace order, as a cell's
+    jobs do, replay the trace about once per cell instead of once per
+    interval, and the cells of one trace share the warm pass.
+
+    The snapshot is bit-identical to :func:`build_warm_state`'s.
+    Advancing in steps reaches the same state as one pass: a step
+    boundary only adds a fetch of the line the previous instruction
+    fetched, an L1I hit on the most recently used way that changes no
+    tag, replacement order or RNG state, and snapshots zero the
+    statistics it counts.
+    """
+    global _sweep_memo
+    key = (fold_key(config), warm)
+    memo = _sweep_memo
+    if memo is None or not memo.matches(program, trace, key):
+        sweep = WarmState(program, config)
+        if warm:
+            sweep.warm_full(trace)
+        memo = _sweep_memo = _Memo(program, trace, key, sweep)
+        memo.origin = sweep.snapshot()
+    elif start < memo.cursor:
+        memo.value = memo.origin.snapshot()
+        memo.cursor = 0
+    memo.value.advance(trace, memo.cursor, start)
+    memo.cursor = start
+    return memo.value.snapshot()
 
 
 def resequence(trace: Trace, start: int, stop: int) -> List[DynInst]:
@@ -446,14 +555,10 @@ def resequence(trace: Trace, start: int, stop: int) -> List[DynInst]:
     ``target_index``, ``next_index``) are positions in the program text
     and copy through unchanged.
     """
-    out: List[DynInst] = []
-    for offset, dyn in enumerate(trace[start:stop]):
-        clone = DynInst.__new__(DynInst)
-        for name in DynInst.__slots__:
-            setattr(clone, name, getattr(dyn, name))
-        clone.seq = offset
-        out.append(clone)
-    return out
+    return [
+        dyn.renumbered(offset)
+        for offset, dyn in enumerate(trace[start:stop])
+    ]
 
 
 @dataclass
@@ -720,10 +825,12 @@ def run_interval(
 ) -> Stats:
     """Detailed simulation of one measurement interval, self-contained.
 
-    Builds the interval's warm state from scratch (full-trace warm +
-    prefix replay), so the call depends only on its arguments — what
-    makes interval-level jobs safe to fan out over workers in any
-    order.
+    The result depends only on the arguments, which is what makes
+    interval-level jobs safe to fan out over workers in any order.
+    The profile and warm state come from this process's memo
+    (:func:`profile_for`, :func:`warm_state_at`), which returns
+    exactly what a from-scratch build would, so jobs of one cell that
+    arrive in interval order share one functional sweep.
 
     Args:
         instrument: probes to attach to the interval's pipeline.  With
@@ -734,9 +841,9 @@ def run_interval(
     """
     profile = None
     if spec.placement == "profile":
-        profile = mispredict_profile(program, trace, config)
+        profile = profile_for(program, trace, config)
     bounds = select_intervals(len(trace), spec, profile)[index]
-    state = build_warm_state(program, config, trace, bounds[0], warm=warm)
+    state = warm_state_at(program, config, trace, bounds[0], warm=warm)
     return _run_window(
         program, trace, config, spec, bounds, state, fault_model,
         instrument.probe(),
@@ -754,13 +861,12 @@ def run_sampled(
 ) -> SampledResult:
     """Sampled simulation of one workload, in process.
 
-    Makes a *single* functional sweep over the trace — fast-forwarding
-    through skipped regions and snapshotting the warm state at each
-    window boundary — so warming cost is paid once per run rather than
-    once per interval.  The sweep only ever sees the functional
-    replay, never the detailed runs' cache/predictor side effects, so
-    its state at any boundary equals the pure prefix fold the fan-out
-    path (:func:`run_interval`) computes independently.
+    Runs every interval through :func:`run_interval`, the fan-out
+    path, in trace order, so all windows come from one functional
+    sweep (:func:`warm_state_at`) and warming cost is paid once per
+    run rather than once per interval.  The sweep only ever sees the
+    functional replay, never the detailed runs' cache/predictor side
+    effects, so its state at any boundary equals the pure prefix fold.
 
     Args:
         fault_factory: optional per-interval fault-model builder
@@ -781,25 +887,15 @@ def run_sampled(
     total = len(trace)
     profile = None
     if spec.placement == "profile":
-        profile = mispredict_profile(program, trace, config)
+        profile = profile_for(program, trace, config)
     bounds = select_intervals(total, spec, profile)
-    sweep = WarmState(program, config)
-    if warm:
-        sweep.warm_full(trace)
-    cursor = 0
-    interval_stats: List[Stats] = []
-    for index, (warm_start, measure_start, end) in enumerate(bounds):
-        sweep.advance(trace, cursor, warm_start)
-        fault = fault_factory(index) if fault_factory else None
-        interval_stats.append(
-            _run_window(
-                program, trace, config, spec,
-                (warm_start, measure_start, end),
-                sweep.snapshot(), fault, instrument.probe(),
-            )
+    interval_stats = [
+        run_interval(
+            program, trace, config, spec, index,
+            fault_factory(index) if fault_factory else None, warm, instrument,
         )
-        sweep.advance(trace, warm_start, end)
-        cursor = end
+        for index in range(len(bounds))
+    ]
     mispredicts = total_mispredicts = None
     if profile is not None:
         mispredicts = [profile[end] - profile[m0] for _, m0, end in bounds]

@@ -28,6 +28,7 @@ from repro.uarch import (
     SamplingSpec,
     run_sampled,
 )
+from repro.uarch import sampling
 from repro.uarch.config import starting_config
 from repro.workloads.suite import trace_for
 
@@ -194,3 +195,45 @@ class TestSampledEntryPoints:
             isinstance(p.stats["li"], SampledResult) for p in results
         )
         assert results[0].average_ipc > 0
+
+
+class TestReplayBudget:
+    def test_sampled_job_replays_at_most_three_trace_lengths(
+        self, monkeypatch, tmp_path
+    ):
+        # One 20-interval sampled job through the runner: every
+        # functional pass (warm pass, prefix replay, mispredict
+        # profile) counts.  Rebuilding per interval replayed ~51 trace
+        # lengths; one shared sweep needs under three: the profile, the
+        # warm pass and one prefix replay up to the last window.
+        replayed = []
+        warm_full = sampling.WarmState.warm_full
+        advance = sampling.WarmState.advance
+        profile = sampling.mispredict_profile
+
+        def counted_warm_full(self, trace):
+            replayed.append(len(trace))
+            return warm_full(self, trace)
+
+        def counted_advance(self, trace, start, stop):
+            replayed.append(max(0, min(stop, len(trace)) - start))
+            return advance(self, trace, start, stop)
+
+        def counted_profile(program, trace, config):
+            replayed.append(len(trace))
+            return profile(program, trace, config)
+
+        monkeypatch.setattr(sampling.WarmState, "warm_full",
+                            counted_warm_full)
+        monkeypatch.setattr(sampling.WarmState, "advance", counted_advance)
+        monkeypatch.setattr(sampling, "mispredict_profile", counted_profile)
+        monkeypatch.setattr(sampling, "_sweep_memo", None)
+        monkeypatch.setattr(sampling, "_profile_memo", None)
+
+        job = SimJob("gcc", starting_config().with_reese(), 6000,
+                     sampling=SamplingSpec(20, 100, warmup=20, cooldown=20))
+        runner = ParallelRunner(jobs=1, cache_dir=tmp_path)
+        result = run_sampled_jobs([job], runner)[0]
+        assert runner.telemetry.simulated == 20
+        total = result.total_instructions
+        assert total <= sum(replayed) <= 3 * total

@@ -1,12 +1,15 @@
 """Property-based guarantees of the sampled simulation engine.
 
-Two families:
+Three families:
 
 * statistical — the sampled IPC estimate converges towards the full
   detailed run's IPC as coverage grows, for generated programs as well
   as suite workloads;
 * determinism — the harness fan-out produces byte-identical results
-  for any worker count and any grouping of interval jobs.
+  for any worker count and any grouping of interval jobs;
+* order independence — interval jobs served from the per-process
+  warm-up sweep memo equal from-scratch runs, whatever order configs,
+  intervals and trace rebuilds arrive in.
 """
 
 import dataclasses
@@ -17,9 +20,20 @@ from hypothesis import strategies as st
 
 from repro.arch import emulate
 from repro.harness.parallel import ParallelRunner, SimJob, run_sampled_jobs
-from repro.uarch import Pipeline, SamplingSpec, run_sampled, starting_config
+from repro.memhier import CacheParams, MemHierParams
+from repro.uarch import (
+    Pipeline,
+    SamplingSpec,
+    build_warm_state,
+    mispredict_profile,
+    run_interval,
+    run_sampled,
+    select_intervals,
+    starting_config,
+)
+from repro.uarch.sampling import _run_window
 from repro.workloads import MixProfile, generate_program
-from repro.workloads.suite import trace_for
+from repro.workloads.suite import BENCHMARKS, trace_for
 
 
 @st.composite
@@ -126,3 +140,81 @@ class TestSamplingDeterminism:
         for index, interval_job in enumerate(interval_jobs):
             assert interval_job.sampling == \
                 dataclasses.replace(spec, index=index)
+
+
+# -- order independence of the warm-up sweep memo ------------------------
+
+MEMO_SCALE = 2500
+MEMO_SPEC = SamplingSpec(5, 100, warmup=20, cooldown=20)
+#: Two configs per fold key: the memo must share a sweep between the
+#: REESE and baseline machines, and keep the keys apart.
+MEMO_CONFIGS = [
+    starting_config(),
+    starting_config().with_reese(),
+    starting_config(predictor="bimodal"),
+    starting_config(
+        mem=dataclasses.replace(
+            MemHierParams(), l1d=CacheParams("l1d", 4 * 1024, 2, 32, 2)
+        )
+    ).with_spares(alu=1),
+]
+
+
+def _fresh_trace():
+    """A newly built program and trace, as a worker rebuilds one after
+    evicting it: equal contents, new identities."""
+    program = BENCHMARKS["li"].build(MEMO_SCALE)
+    return program, emulate(program, max_instructions=100_000).trace
+
+
+@pytest.fixture(scope="module")
+def memo_traces():
+    return [_fresh_trace(), _fresh_trace()]
+
+
+@pytest.fixture(scope="module")
+def reference(memo_traces):
+    """Interval Stats from a from-scratch warm state, memoised across
+    examples (the reference is deterministic)."""
+    computed = {}
+
+    def state_dict(config_index, warm, index):
+        key = (config_index, warm, index)
+        if key not in computed:
+            program, trace = memo_traces[0]
+            config = MEMO_CONFIGS[config_index]
+            profile = mispredict_profile(program, trace, config)
+            bounds = select_intervals(len(trace), MEMO_SPEC, profile)[index]
+            state = build_warm_state(program, config, trace, bounds[0], warm)
+            stats = _run_window(program, trace, config, MEMO_SPEC, bounds,
+                                state, None, None)
+            computed[key] = stats.state_dict()
+        return computed[key]
+
+    return state_dict
+
+
+class TestSweepMemoOrderIndependence:
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, len(MEMO_CONFIGS) - 1),
+                st.integers(0, MEMO_SPEC.intervals - 1),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        rebuild_at=st.integers(0, 8),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_any_order_equals_from_scratch(
+        self, memo_traces, reference, steps, rebuild_at
+    ):
+        for position, (config_index, index, warm) in enumerate(steps):
+            # Mid-sequence the trace is evicted and rebuilt.
+            program, trace = memo_traces[int(position >= rebuild_at)]
+            stats = run_interval(program, trace, MEMO_CONFIGS[config_index],
+                                 MEMO_SPEC, index, warm=warm)
+            assert stats.state_dict() == \
+                reference(config_index, warm, index)

@@ -1,7 +1,14 @@
 """Unit tests for the sampled + fast-forward simulation engine."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.arch.trace import DynInst
+from repro.uarch import sampling
+from repro.uarch.config import MachineConfig
+from repro.uarch.sampling import fold_key, profile_for, resequence, warm_state_at
 from repro.uarch import (
     Pipeline,
     SampledResult,
@@ -295,3 +302,128 @@ class TestEstimators:
             spec, 1000, [(0, 0, 100)], [self._stats(100, 80)]
         )
         assert result.ipc_ci == 0.0
+
+
+class TestResequence:
+    def test_copies_every_slot_and_renumbers(self, workload):
+        _, trace = workload
+        window = resequence(trace, 100, 160)
+        assert [dyn.seq for dyn in window] == list(range(60))
+        for copy, original in zip(window, trace[100:160]):
+            assert copy is not original
+            for name in DynInst.__slots__[1:]:
+                assert getattr(copy, name) == getattr(original, name), name
+
+
+def _perturbed(value, name=""):
+    """A different, still valid value of one config field."""
+    if name == "predictor":
+        return "bimodal" if value != "bimodal" else "gshare"
+    if name == "predictor_kwargs":
+        return {"history_bits": 10}
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 2 if value else 1  # keeps powers of two valid
+    if isinstance(value, str):
+        return value + "x"
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0].name
+        return dataclasses.replace(
+            value, **{first: _perturbed(getattr(value, first), first)}
+        )
+    raise TypeError(f"no perturbation for {name}={value!r}")
+
+
+def _variants(base):
+    """(field, config differing from ``base`` in that field only)."""
+    for f in dataclasses.fields(MachineConfig):
+        value = getattr(base, f.name)
+        yield f.name, dataclasses.replace(
+            base, **{f.name: _perturbed(value, f.name)}
+        )
+
+
+def _warm_bytes(state):
+    return pickle.dumps(
+        (state.mem, state.predictor, state.btb, state.ras)
+    )
+
+
+class TestSweepMemoKey:
+    """:func:`fold_key` must name every config field the warm fold and
+    the mispredict profile read, and nothing else.  A field added later
+    that changes the warm state without being keyed fails here."""
+
+    START = 1200
+
+    def test_non_key_fields_leave_warm_state_and_profile_equal(
+        self, workload, cfg
+    ):
+        program, trace = workload
+        reference = _warm_bytes(
+            build_warm_state(program, cfg, trace, self.START)
+        )
+        profile = mispredict_profile(program, trace, cfg)
+        checked = []
+        for name, variant in _variants(cfg):
+            if fold_key(variant) != fold_key(cfg):
+                continue
+            checked.append(name)
+            state = build_warm_state(program, variant, trace, self.START)
+            assert _warm_bytes(state) == reference, name
+            assert mispredict_profile(program, trace, variant) == profile, \
+                name
+        for name in ("fetch_width", "int_alu", "ruu_size", "lsq_size",
+                     "latencies", "reese", "dispatch_dup"):
+            assert name in checked
+
+    def test_non_key_fields_share_the_memo(self, workload, cfg):
+        program, trace = workload
+        warm_state_at(program, cfg, trace, 0)
+        profile = profile_for(program, trace, cfg)
+        memo = sampling._sweep_memo
+        start = self.START
+        for name, variant in _variants(cfg):
+            if fold_key(variant) != fold_key(cfg):
+                continue
+            state = warm_state_at(program, variant, trace, start)
+            assert sampling._sweep_memo is memo, name
+            assert profile_for(program, trace, variant) is profile, name
+            assert _warm_bytes(state) == _warm_bytes(
+                build_warm_state(program, cfg, trace, start)
+            ), name
+            start += 10
+
+    def test_key_fields_miss_the_memo(self, workload, cfg):
+        program, trace = workload
+        missed = []
+        for name, variant in _variants(cfg):
+            if fold_key(variant) == fold_key(cfg):
+                continue
+            missed.append(name)
+            warm_state_at(program, cfg, trace, 0)
+            profile_for(program, trace, cfg)
+            sweep, profile = sampling._sweep_memo, sampling._profile_memo
+            state = warm_state_at(program, variant, trace, self.START)
+            assert sampling._sweep_memo is not sweep, name
+            profile_for(program, trace, variant)
+            assert sampling._profile_memo is not profile, name
+            assert _warm_bytes(state) == _warm_bytes(
+                build_warm_state(program, variant, trace, self.START)
+            ), name
+        assert sorted(missed) == sorted(
+            ["mem", "predictor", "predictor_kwargs", "btb_entries",
+             "ras_depth"]
+        )
+
+    def test_warm_flag_and_trace_identity_miss_the_memo(self, workload, cfg):
+        program, trace = workload
+        warm_state_at(program, cfg, trace, 0, warm=True)
+        memo = sampling._sweep_memo
+        warm_state_at(program, cfg, trace, 10, warm=False)
+        assert sampling._sweep_memo is not memo
+        memo = sampling._sweep_memo
+        warm_state_at(program, cfg, list(trace), 20, warm=False)
+        assert sampling._sweep_memo is not memo
+
