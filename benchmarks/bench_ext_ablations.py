@@ -14,16 +14,16 @@ import statistics
 from conftest import publish
 
 from repro.harness import bench_scale, format_table
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.suite import trace_for
-
-_WARM = dict(warm_caches=True, warm_predictor=True)
 
 
 def _avg_ipc(traces, config):
     return statistics.mean(
-        Pipeline(p, t, config, **_WARM).run().ipc for p, t in traces.values()
+        Pipeline(p, t, config, warm_state=warm_state_at(p, config, t, 0))
+        .run().ipc
+        for p, t in traces.values()
     )
 
 

@@ -12,7 +12,7 @@ from conftest import publish
 
 from repro.harness import bench_scale, format_table
 from repro.reese import EnvironmentalFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads.suite import trace_for
 
 DURATIONS = [1, 4, 16, 64, 256, 1024]
@@ -31,7 +31,7 @@ def run_sweep():
             )
             stats = Pipeline(
                 program, trace, config, fault_model=model,
-                warm_caches=True, warm_predictor=True,
+                warm_state=warm_state_at(program, config, trace, 0),
             ).run()
             detected += stats.errors_detected
             escaped += stats.errors_undetected_same_event

@@ -15,7 +15,7 @@ from conftest import publish
 
 from repro.harness import bench_scale, format_table
 from repro.reese import BernoulliFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.suite import trace_for
 
@@ -27,7 +27,7 @@ def run_sweep():
     traces = {n: trace_for(n, scale=scale) for n in BENCHMARK_ORDER}
     config = starting_config()
     base_ipc = statistics.mean(
-        Pipeline(p, t, config, warm_caches=True, warm_predictor=True)
+        Pipeline(p, t, config, warm_state=warm_state_at(p, config, t, 0))
         .run().ipc
         for p, t in traces.values()
     )
@@ -38,14 +38,14 @@ def run_sweep():
         detected = escaped = 0
         for p, t in traces.values():
             stats = Pipeline(
-                p, t, reese, warm_caches=True, warm_predictor=True
+                p, t, reese, warm_state=warm_state_at(p, reese, t, 0)
             ).run()
             ipcs.append(stats.ipc)
             # Coverage probe with per-execution faults.
             model = BernoulliFaultModel(rate=2e-4, seed=13)
             fault_stats = Pipeline(
                 p, t, reese, fault_model=model,
-                warm_caches=True, warm_predictor=True,
+                warm_state=warm_state_at(p, reese, t, 0),
             ).run()
             detected += fault_stats.errors_detected
             escaped += fault_stats.sdc_commits

@@ -13,11 +13,16 @@ import statistics
 from conftest import publish
 
 from repro.harness import bench_scale, format_table
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.suite import trace_for
 
-_WARM = dict(warm_caches=True, warm_predictor=True)
+
+def _warm_run(program, trace, config):
+    return Pipeline(
+        program, trace, config,
+        warm_state=warm_state_at(program, config, trace, 0),
+    ).run()
 
 
 def run_comparison():
@@ -27,11 +32,9 @@ def run_comparison():
     rows = []
     for name in BENCHMARK_ORDER:
         program, trace = traces[name]
-        base = Pipeline(program, trace, config, **_WARM).run()
-        reese = Pipeline(program, trace, config.with_reese(), **_WARM).run()
-        dup = Pipeline(
-            program, trace, config.with_dispatch_dup(), **_WARM
-        ).run()
+        base = _warm_run(program, trace, config)
+        reese = _warm_run(program, trace, config.with_reese())
+        dup = _warm_run(program, trace, config.with_dispatch_dup())
         rows.append((name, base.ipc, reese.ipc, dup.ipc))
     return rows
 

@@ -23,7 +23,13 @@ import time
 from conftest import publish
 
 from repro.harness import format_table
-from repro.uarch import Pipeline, SamplingSpec, run_sampled, starting_config
+from repro.uarch import (
+    Pipeline,
+    SamplingSpec,
+    run_sampled,
+    starting_config,
+    warm_state_at,
+)
 from repro.workloads.suite import BENCHMARK_ORDER, trace_for
 
 SCALE = 200_000
@@ -48,8 +54,10 @@ def test_sampling_validation():
         program, trace = trace_for(bench, SCALE)
         for label, cfg in modes:
             start = time.perf_counter()
-            full = Pipeline(program, trace, cfg, warm_caches=True,
-                            warm_predictor=True).run()
+            full = Pipeline(
+                program, trace, cfg,
+                warm_state=warm_state_at(program, cfg, trace, 0),
+            ).run()
             t_full = time.perf_counter() - start
 
             start = time.perf_counter()

@@ -17,7 +17,7 @@ Run:  python examples/fault_injection_demo.py
 
 from repro.harness.campaign import run_campaign
 from repro.reese import EnvironmentalFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import load
 from repro.workloads.suite import trace_for
 
@@ -41,7 +41,7 @@ def reese_detection() -> None:
     model = EnvironmentalFaultModel(rate=1e-3, duration=2, seed=42)
     stats = Pipeline(
         program, trace, config, fault_model=model,
-        warm_caches=True, warm_predictor=True,
+        warm_state=warm_state_at(program, config, trace, 0),
     ).run()
     print(f"fault strikes:            {model.strikes}")
     print(f"errors detected:          {stats.errors_detected}")
@@ -67,7 +67,7 @@ def coverage_vs_duration() -> None:
             )
             stats = Pipeline(
                 program, trace, config, fault_model=model,
-                warm_caches=True, warm_predictor=True,
+                warm_state=warm_state_at(program, config, trace, 0),
             ).run()
             detected += stats.errors_detected
             escaped += stats.errors_undetected_same_event

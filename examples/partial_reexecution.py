@@ -13,7 +13,7 @@ Run:  python examples/partial_reexecution.py [benchmark]
 import sys
 
 from repro.reese import BernoulliFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads.suite import trace_for
 
 
@@ -21,9 +21,11 @@ def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "gcc"
     program, trace = trace_for(benchmark, scale=12_000)
     config = starting_config()
-    warm = dict(warm_caches=True, warm_predictor=True)
 
-    base = Pipeline(program, trace, config, **warm).run()
+    base = Pipeline(
+        program, trace, config,
+        warm_state=warm_state_at(program, config, trace, 0),
+    ).run()
     print(f"benchmark {benchmark}: baseline IPC {base.ipc:.3f}")
     print()
     print(f"{'duty cycle':>10s} {'IPC':>7s} {'gap':>7s} "
@@ -31,10 +33,12 @@ def main() -> None:
 
     for duty in (1.0, 0.5, 0.25, 0.125):
         reese_config = config.with_reese(r_duty_cycle=duty)
-        clean = Pipeline(program, trace, reese_config, **warm).run()
+        warm = warm_state_at(program, reese_config, trace, 0)
+        clean = Pipeline(program, trace, reese_config, warm_state=warm).run()
         model = BernoulliFaultModel(rate=3e-4, seed=21)
         faulty = Pipeline(
-            program, trace, reese_config, fault_model=model, **warm
+            program, trace, reese_config, fault_model=model,
+            warm_state=warm_state_at(program, reese_config, trace, 0),
         ).run()
         detected = faulty.errors_detected
         escaped = faulty.sdc_commits

@@ -20,12 +20,15 @@ class StaticPredictor(DirectionPredictor):
 
 
 class PerfectPredictor(DirectionPredictor):
-    """Oracle predictor: the timing model primes it with the outcome.
+    """Oracle predictor: primed with the outcome before each prediction.
 
-    The pipeline's fetch stage calls :meth:`prime` with the trace's
-    ground-truth direction immediately before ``predict``; this models a
-    machine with no direction mispredictions, used to isolate the cost
-    of REESE from branch effects in ablation studies.
+    :meth:`predict_and_update`, the call fetch makes with the trace's
+    ground-truth direction, primes the predictor with that direction
+    before predicting, so callers need not know which predictor they
+    drive.  This models a machine with no direction mispredictions,
+    used to isolate the cost of REESE from branch effects in ablation
+    studies.  A bare :meth:`predict` (wrong-path fetch) returns the
+    last primed direction.
     """
 
     def __init__(self) -> None:
@@ -34,6 +37,10 @@ class PerfectPredictor(DirectionPredictor):
 
     def prime(self, taken: bool) -> None:
         self._next = taken
+
+    def predict_and_update(self, pc: int, taken: bool) -> bool:
+        self.prime(taken)
+        return super().predict_and_update(pc, taken)
 
     def predict(self, pc: int) -> bool:
         return self._next

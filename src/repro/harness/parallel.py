@@ -84,7 +84,10 @@ from .telemetry import write_job_telemetry
 #: sampled runs with different specs — never share an entry.
 #: v4: Stats gained ``accounting`` and jobs gained the ``profile``
 #: flag (profiled runs populate the attribution account).
-CACHE_VERSION = 4
+#: v5: full warm runs start from the sampled engine's warm state, whose
+#: snapshot zeroes the D-TLB counters too (the warm-up pass used to be
+#: counted in ``cache_stats["dtlb"]``).
+CACHE_VERSION = 5
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"

@@ -6,8 +6,10 @@ the experiment definitions.  All figure experiments run through
 
 * memoises the workload trace (shared across the 4-5 machine models of
   a figure),
-* enables cache and predictor warm-up (the paper's 100 M-instruction
-  runs are effectively warm; see DESIGN.md §5), and
+* starts the machine from the warm state at trace position 0 (the
+  paper's 100 M-instruction runs are effectively warm; see DESIGN.md
+  §5), the same fold the sampled engine starts its intervals from,
+  and
 * honours the ``REPRO_BENCH_INSTRUCTIONS`` environment variable so the
   whole figure suite can be scaled to the machine it runs on.
 """
@@ -25,6 +27,12 @@ from ..reese.faults import FaultModel, NoFaults
 from ..uarch.config import MachineConfig
 from ..uarch.observe import Instrumentation
 from ..uarch.pipeline import Pipeline
+from ..uarch.sampling import (
+    SampledResult,
+    SamplingSpec,
+    run_sampled,
+    warm_state_at,
+)
 from ..uarch.stats import Stats
 
 # DEFAULT_SCALE is re-exported here for backward compatibility; the
@@ -146,6 +154,12 @@ def run_model(
     """Simulate one program trace on one machine configuration.
 
     Args:
+        warm: start from :func:`~repro.uarch.sampling.warm_state_at`
+            position 0 (caches, TLBs and direction predictor warmed by
+            one pass over the trace, statistics zeroed) instead of a
+            cold machine.  The state comes from this process's sweep
+            memo, so the configs of a figure that warm alike share one
+            warm pass per trace.
         instrument: the probes to attach (event trace, stage metrics,
             invariant checker, cycle-accounting profiler), used as given.
             ``None`` defers to the environment gates (see
@@ -161,9 +175,8 @@ def run_model(
         trace,
         config,
         fault_model=fault_model,
-        warm_caches=warm,
-        warm_predictor=warm,
         probe=instrument.probe(),
+        warm_state=warm_state_at(program, config, trace, 0) if warm else None,
     )
     return pipeline.run(max_cycles=max_cycles)
 
@@ -186,12 +199,12 @@ def run_benchmark(
 def run_sampled_benchmark(
     name: str,
     config: MachineConfig,
-    sampling: "SamplingSpec",
+    sampling: SamplingSpec,
     scale: Optional[int] = None,
     seed: Optional[int] = None,
     fault_factory=None,
     warm: bool = True,
-) -> "SampledResult":
+) -> SampledResult:
     """Sampled simulation of one named benchmark (in process).
 
     The convenience single-workload entry point mirroring
@@ -199,8 +212,6 @@ def run_sampled_benchmark(
     parallelism should go through
     :func:`repro.harness.parallel.run_sampled_jobs` instead.
     """
-    from ..uarch.sampling import run_sampled
-
     program, trace = trace_for(name, scale or bench_scale(), seed)
     return run_sampled(program, trace, config, sampling,
                        fault_factory=fault_factory, warm=warm)

@@ -44,7 +44,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..arch.trace import DynInst, Trace
-from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
+from ..bpred import BTB, ReturnAddressStack, make_predictor
 from ..isa.instructions import FUClass, Op, OPINFO
 from ..isa.program import Program, TEXT_BASE
 from ..isa.registers import REG_RA
@@ -94,12 +94,12 @@ def warm_caches_over(mem: MemoryHierarchy, trace, line_shift: int) -> None:
 
     One functional pass over ``trace`` (any iterable of
     :class:`~repro.arch.trace.DynInst`): instruction lines are fetched
-    once per line run, loads/stores touch the data side.  Shared by the
-    full-run warm-up (:meth:`Pipeline._warm_up`) and the sampled engine
-    (:mod:`repro.uarch.sampling`), whose fast-forward between
-    measurement intervals is exactly this pass over the skipped region.
-    The caller resets cache statistics afterwards when the pass is
-    warm-up rather than measurement.
+    once per line run, loads/stores touch the data side.  The warm
+    pass of :class:`repro.uarch.sampling.WarmState`, which full runs
+    and sampled intervals start from, and its fast-forward between
+    measurement intervals are both this pass.  The caller resets cache
+    statistics afterwards when the pass is warm-up rather than
+    measurement.
     """
     # Hoisted bound methods: this loop is the sampled engine's
     # fast-forward path, run over most of the trace per sampled run.
@@ -132,6 +132,46 @@ def warm_predictor_over(predictor, trace) -> None:
             pc = dyn.pc
             predict(pc)
             update(pc, dyn.taken)
+
+
+def predict_next(dyn: DynInst, code, predictor, btb: BTB,
+                 ras: ReturnAddressStack) -> int:
+    """Fetch-time prediction of the static index after branch ``dyn``.
+
+    The one definition of the front end's control-flow policy, shared
+    by fetch, :func:`repro.uarch.sampling.mispredict_profile` and the
+    warm sweep (:meth:`repro.uarch.sampling.WarmState.advance`).  The
+    direction predictor handles conditional branches, direct jumps
+    take the target from the instruction word, calls push the RAS,
+    ``jr ra`` pops it and other indirect jumps consult the BTB.  Every
+    structure trains on the trace's ground truth here, at fetch
+    (oracle update timing, DESIGN.md §5), so the sequence of
+    predictions is a pure property of the trace.  ``-1`` means no
+    target is known (wrong-path fetch stalls).
+    """
+    fallthrough = dyn.static_index + 1
+    if dyn.is_cond_branch:
+        taken = predictor.predict_and_update(dyn.pc, dyn.taken)
+        return dyn.target_index if taken else fallthrough
+    op = dyn.op
+    if op is Op.J:
+        return dyn.target_index  # direct: target in the instruction word
+    if op is Op.JAL:
+        ras.push(fallthrough)
+        return dyn.target_index
+    if op is Op.JR:
+        if code[dyn.static_index].rs1 == REG_RA:
+            predicted = ras.pop()
+        else:
+            predicted = btb.lookup(dyn.pc)
+        btb.update(dyn.pc, dyn.target_index)
+        return predicted if predicted is not None else -1
+    if op is Op.JALR:
+        ras.push(fallthrough)
+        predicted = btb.lookup(dyn.pc)
+        btb.update(dyn.pc, dyn.target_index)
+        return predicted if predicted is not None else -1
+    raise AssertionError(f"not a branch: {op}")
 
 
 class _Entry:
@@ -205,8 +245,6 @@ class Pipeline:
         trace: Trace,
         config: MachineConfig,
         fault_model: Optional[FaultModel] = None,
-        warm_caches: bool = False,
-        warm_predictor: bool = False,
         probe=None,
         warm_state=None,
         measure_from: Optional[int] = None,
@@ -218,14 +256,6 @@ class Pipeline:
             trace: dynamic trace from the functional emulator.
             config: machine configuration (Table 1 preset or variant).
             fault_model: optional soft-error injector.
-            warm_caches: pre-touch every I-line, data address and TLB
-                page of the trace before timing starts, then zero the
-                cache statistics.  The paper simulates 100 M instructions
-                per benchmark, so its caches run warm; our runs are 10⁴-
-                10⁵ instructions and would otherwise be dominated by
-                compulsory misses.  The experiment harness enables this.
-            warm_predictor: likewise pre-train the direction predictor
-                on one pass of the branch stream.
             probe: optional instrumentation probe (the cycle-accounting
                 profiler, stage metrics, invariant checker, event
                 tracer, or a :class:`repro.uarch.observe.ProbeSet` of
@@ -241,10 +271,17 @@ class Pipeline:
                 object with ``mem``, ``predictor``, ``btb`` and ``ras``
                 attributes, e.g. :class:`repro.uarch.sampling.WarmState`).
                 When given, the pipeline adopts those structures instead
-                of building cold ones and the ``warm_caches`` /
-                ``warm_predictor`` flags are ignored — the sampled
-                engine hands every measurement interval a state that was
-                functionally fast-forwarded to the interval start.
+                of building cold ones; without it the machine starts
+                cold.  The paper simulates 100 M instructions per
+                benchmark, so its caches and predictors run warm; our
+                runs are 10⁴-10⁵ instructions and would otherwise be
+                dominated by compulsory misses.  Full runs take the
+                state at trace position 0 (``run_model(warm=True)``:
+                one pass touching every I-line, data address and TLB
+                page and training the direction predictor, statistics
+                zeroed); the sampled engine hands every measurement
+                interval the same state functionally fast-forwarded to
+                the interval start.
             measure_from: trace seq whose commit opens the measurement
                 window — all statistics (including cache/predictor/FU
                 counters) are reset the moment it reaches commit, so
@@ -265,15 +302,11 @@ class Pipeline:
         self.trace = trace
         self.config = config
         self.fault_model = fault_model or NoFaults()
-        self.warm_caches = warm_caches
-        self.warm_predictor = warm_predictor
         self.probe = probe
         self.stats = Stats()
 
         self.fupool = FUPool(config)
         if warm_state is not None:
-            self.warm_caches = False
-            self.warm_predictor = False
             self.mem = warm_state.mem
             self.predictor = warm_state.predictor
             self.btb = warm_state.btb
@@ -366,8 +399,6 @@ class Pipeline:
         total = len(self.trace)
         if total == 0:
             return self._finalize()
-        if self.warm_caches or self.warm_predictor:
-            self._warm_up()
         cap = max_cycles if max_cycles is not None else 400 * total + 100_000
         last_commit_cycle = 0
         last_committed = 0
@@ -406,18 +437,6 @@ class Pipeline:
                 cap, self.stats.committed, total, self._finalize()
             )
         return self._finalize()
-
-    def _warm_up(self) -> None:
-        """One architectural pass over the trace to warm caches/predictor."""
-        if self.warm_caches:
-            warm_caches_over(self.mem, self.trace, self._line_shift)
-            self.mem.l1i.reset_stats()
-            self.mem.l1d.reset_stats()
-            self.mem.l2.reset_stats()
-        if self.warm_predictor:
-            warm_predictor_over(self.predictor, self.trace)
-            self.predictor.lookups = 0
-            self.predictor.correct = 0
 
     def _begin_measurement(self) -> None:
         """Open the measurement window: zero every statistic in place.
@@ -473,11 +492,8 @@ class Pipeline:
             head = ruu[0]
             if head.wrong_path or not head.completed:
                 break
-            if head.is_store:
-                if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
-                    break
-                self.fupool.record_issue(FUClass.MEM_PORT)
-                self.mem.daccess(head.dyn.ea, is_write=True)
+            if head.is_store and not self._write_store(head.dyn.ea):
+                break
             self._retire_entry(head)
             ruu.pop(0)
             if head.is_mem:
@@ -519,25 +535,15 @@ class Pipeline:
                 if probe is not None:
                     probe.notify("compare", self.cycle, head, match=match)
                 if not match:
-                    self.stats.errors_detected += 1
-                    self.stats.recoveries += 1
-                    if self.retry.record_failure(head.trace_seq):
-                        self.stats.unrecoverable = True
-                        raise UnrecoverableFaultError(
-                            head.trace_seq, self.retry.failures
-                        )
-                    self._flush_all(refetch_cursor=head.trace_seq)
+                    self._handle_detected_error(head.trace_seq)
                     return
                 if (
                     head.p_fault_bit is not None
                     and shadow.p_fault_bit is not None
                 ):
                     self.stats.errors_undetected_same_event += 1
-            if head.is_store:
-                if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
-                    break
-                self.fupool.record_issue(FUClass.MEM_PORT)
-                self.mem.daccess(head.dyn.ea, is_write=True)
+            if head.is_store and not self._write_store(head.dyn.ea):
+                break
             self.retry.record_success(head.trace_seq)
             if probe is not None:
                 probe.notify("commit", self.cycle, head)
@@ -595,7 +601,7 @@ class Pipeline:
                         "compare", self.cycle, rentry=rentry, match=match
                     )
                 if not match:
-                    self._handle_detected_error(rentry)
+                    self._handle_detected_error(rentry.seq)
                     return
                 if (
                     rentry.p_fault_bit is not None
@@ -608,10 +614,8 @@ class Pipeline:
                 # Re-execution skipped (duty cycle): corruption escapes.
                 self.stats.sdc_commits += 1
             if dyn.is_store:
-                if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
+                if not self._write_store(dyn.ea):
                     break
-                self.fupool.record_issue(FUClass.MEM_PORT)
-                self.mem.daccess(dyn.ea, is_write=True)
                 if rentry.lsq_entry is not None:
                     self._lsq_remove(rentry.lsq_entry)
             rqueue.pop(rentry.seq)
@@ -697,13 +701,26 @@ class Pipeline:
             return FUClass.INT_ALU
         return entry.fu
 
-    def _handle_detected_error(self, rentry: REntry) -> None:
+    def _handle_detected_error(self, trace_seq: int) -> None:
+        """A failed comparison: count it, then flush and refetch from
+        ``trace_seq`` (or stop the machine once its retries run out)."""
         self.stats.errors_detected += 1
         self.stats.recoveries += 1
-        if self.retry.record_failure(rentry.seq):
+        if self.retry.record_failure(trace_seq):
             self.stats.unrecoverable = True
-            raise UnrecoverableFaultError(rentry.seq, self.retry.failures)
-        self._flush_all(refetch_cursor=rentry.seq)
+            raise UnrecoverableFaultError(trace_seq, self.retry.failures)
+        self._flush_all(refetch_cursor=trace_seq)
+
+    def _write_store(self, ea: int) -> bool:
+        """Commit a store's D-cache write through a memory port.
+
+        Returns False, writing nothing, when no port is free this cycle.
+        """
+        if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
+            return False
+        self.fupool.record_issue(FUClass.MEM_PORT)
+        self.mem.daccess(ea, is_write=True)
+        return True
 
     def _flush_all(self, refetch_cursor: int) -> None:
         """Full pipeline + R-stream Queue flush (REESE error recovery)."""
@@ -1115,7 +1132,10 @@ class Pipeline:
 
         if dyn.is_branch:
             self.stats.branches += 1
-            predicted = self._predict_next(dyn)
+            if dyn.is_cond_branch:
+                self.stats.cond_branches += 1
+            predicted = predict_next(dyn, self.program.code, self.predictor,
+                                     self.btb, self.ras)
             if predicted == dyn.next_index:
                 self.fetch_cursor += 1
             else:
@@ -1131,37 +1151,6 @@ class Pipeline:
         if self.probe is not None:
             self.probe.notify("fetch", self.cycle, entry)
         return True
-
-    def _predict_next(self, dyn: DynInst) -> int:
-        """Predicted next static index for a control-flow instruction."""
-        op = dyn.op
-        inst = self.program.code[dyn.static_index]
-        fallthrough = dyn.static_index + 1
-        if dyn.is_cond_branch:
-            self.stats.cond_branches += 1
-            predictor = self.predictor
-            if isinstance(predictor, PerfectPredictor):
-                predictor.prime(dyn.taken)
-            taken_pred = predictor.predict_and_update(dyn.pc, dyn.taken)
-            return dyn.target_index if taken_pred else fallthrough
-        if op is Op.J:
-            return dyn.target_index  # direct: target in the instruction word
-        if op is Op.JAL:
-            self.ras.push(fallthrough)
-            return dyn.target_index
-        if op is Op.JR:
-            if inst.rs1 == REG_RA:
-                predicted = self.ras.pop()
-            else:
-                predicted = self.btb.lookup(dyn.pc)
-            self.btb.update(dyn.pc, dyn.target_index)
-            return predicted if predicted is not None else -1
-        if op is Op.JALR:
-            self.ras.push(fallthrough)
-            predicted = self.btb.lookup(dyn.pc)
-            self.btb.update(dyn.pc, dyn.target_index)
-            return predicted if predicted is not None else -1
-        raise AssertionError(f"not a branch: {op}")
 
     def _fetch_wrong_path(self) -> bool:
         index = self.wp_index

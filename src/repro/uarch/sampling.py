@@ -8,10 +8,9 @@ detail for wall clock: split the dynamic trace into ``k`` evenly
 spaced **measurement intervals** of ``U`` instructions, run *only*
 those intervals (plus small detailed warm-up and drain-padding
 windows) through the detailed pipeline, and **functionally
-fast-forward** between them with the architectural warm-up pass the
-full-run path already uses (cache touch + predictor train,
-:func:`~repro.uarch.pipeline.warm_caches_over` /
-:func:`~repro.uarch.pipeline.warm_predictor_over`).
+fast-forward** between them: cache touch
+(:func:`~repro.uarch.pipeline.warm_caches_over`) plus the fetch-time
+prediction step (:func:`~repro.uarch.pipeline.predict_next`).
 
 Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
 
@@ -42,12 +41,12 @@ Design (mirrors SMARTS / RepTFD's checkpoint-and-replay split):
   back to the ratio automatically.
 * **Warm state** for a detailed window starting at ``w`` is a
   deterministic fold: (1) the full-trace architectural warm pass
-  (identical to ``warm=True`` full runs — the paper's caches run warm)
-  then (2) a functional replay of the prefix ``[0, w)``.  The fold
-  depends only on ``(trace, fold_key(config), w)``, so an interval
-  simulated in-process and the same interval simulated as an
-  independent :class:`~repro.harness.parallel.SimJob` in a worker
-  produce **bit-identical Stats** — the property the jobs-invariance
+  (the paper's caches run warm; full ``warm=True`` runs start from
+  this fold at ``w = 0``) then (2) a functional replay of the prefix
+  ``[0, w)``.  The fold depends only on ``(trace, fold_key(config),
+  w)``, so an interval simulated in-process and the same interval
+  simulated as an independent :class:`~repro.harness.parallel.SimJob`
+  in a worker produce **bit-identical Stats** — the property the jobs-invariance
   tests pin.  Each process keeps its latest sweep (:func:`warm_state_at`)
   and latest profile (:func:`profile_for`) and serves later windows
   of the same trace from them, so a cell's interval jobs replay the
@@ -87,14 +86,17 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..arch.trace import DynInst, Trace
-from ..bpred import BTB, PerfectPredictor, ReturnAddressStack, make_predictor
-from ..isa.instructions import Op
-from ..isa.registers import REG_RA
+from ..bpred import BTB, ReturnAddressStack, make_predictor
 from ..memhier.hierarchy import MemoryHierarchy
 from ..reese.faults import FaultModel
 from .config import MachineConfig
 from .observe import Instrumentation
-from .pipeline import Pipeline
+from .pipeline import (
+    Pipeline,
+    predict_next,
+    warm_caches_over,
+    warm_predictor_over,
+)
 from .stats import Stats
 
 #: Two-sided 95 % normal quantile for the CLT confidence interval.
@@ -169,12 +171,12 @@ def mispredict_profile(program, trace: Trace, config: MachineConfig) -> List[int
     """Prefix sums of fetch-time branch mispredictions over ``trace``.
 
     Replays the direction predictor, BTB and RAS over the whole trace
-    exactly as ``Pipeline._predict_next`` consults them.  Because the
-    timing models train all three at fetch with the trace's ground
-    truth (oracle update timing, DESIGN.md §5), the sequence of
-    mispredict events is independent of pipeline timing — this pass
-    reproduces the detailed simulator's total misprediction count
-    exactly, at functional-replay speed.
+    through :func:`~repro.uarch.pipeline.predict_next`, the step fetch
+    uses.  Because the timing models train all three at fetch with the
+    trace's ground truth (oracle update timing, DESIGN.md §5), the
+    sequence of mispredict events is independent of pipeline timing —
+    this pass reproduces the detailed simulator's total misprediction
+    count exactly, at functional-replay speed.
 
     Returns ``pre`` with ``len(trace) + 1`` entries; mispredictions in
     ``trace[i:j]`` are ``pre[j] - pre[i]``.
@@ -183,37 +185,13 @@ def mispredict_profile(program, trace: Trace, config: MachineConfig) -> List[int
     btb = BTB(config.btb_entries)
     ras = ReturnAddressStack(config.ras_depth)
     code = program.code
-    prime = isinstance(predictor, PerfectPredictor)
     pre = [0] * (len(trace) + 1)
     acc = 0
     for i, dyn in enumerate(trace):
-        if dyn.is_branch:
-            fallthrough = dyn.static_index + 1
-            op = dyn.op
-            if dyn.is_cond_branch:
-                if prime:
-                    predictor.prime(dyn.taken)
-                taken = predictor.predict_and_update(dyn.pc, dyn.taken)
-                predicted = dyn.target_index if taken else fallthrough
-            elif op is Op.J:
-                predicted = dyn.target_index
-            elif op is Op.JAL:
-                ras.push(fallthrough)
-                predicted = dyn.target_index
-            elif op is Op.JR:
-                if code[dyn.static_index].rs1 == REG_RA:
-                    hit = ras.pop()
-                else:
-                    hit = btb.lookup(dyn.pc)
-                btb.update(dyn.pc, dyn.target_index)
-                predicted = hit if hit is not None else -1
-            else:  # JALR
-                ras.push(fallthrough)
-                hit = btb.lookup(dyn.pc)
-                btb.update(dyn.pc, dyn.target_index)
-                predicted = hit if hit is not None else -1
-            if predicted != dyn.next_index:
-                acc += 1
+        if (dyn.is_branch
+                and predict_next(dyn, code, predictor, btb, ras)
+                != dyn.next_index):
+            acc += 1
         pre[i + 1] = acc
     return pre
 
@@ -308,14 +286,11 @@ class WarmState:
     ``snapshot`` clones the state (with statistics zeroed) for handing
     to an interval pipeline without disturbing the sweep.
 
-    ``warm_full`` touches caches and direction predictor only — the
-    exact composition of the full-run ``warm=True`` pass.  ``advance``
-    additionally replays the BTB and return-address stack in fetch
-    order, so a window's control-flow structures hold their *true*
-    mid-run state (modulo wrong-path speculation) rather than starting
-    cold at every interval.  Both are single fused loops: the sweep is
-    the dominant cost of a sampled run, so one trace iteration per
-    pass matters.
+    ``warm_full`` touches caches and direction predictor only.
+    ``advance`` also replays the BTB and return-address stack through
+    the fetch-time prediction step, so a window's control-flow
+    structures hold their *true* mid-run state (modulo wrong-path
+    speculation) rather than starting cold at every interval.
 
     The state depends on ``config`` only through :func:`fold_key`.
     """
@@ -333,70 +308,25 @@ class WarmState:
         self._line_shift = config.mem.l1i.line_size.bit_length() - 1
 
     def warm_full(self, trace: Trace) -> None:
-        """The full-trace warm pass (identical to ``warm=True`` runs)."""
-        mem = self.mem
-        ifetch = mem.ifetch
-        daccess = mem.daccess
-        predict = self.predictor.predict
-        update = self.predictor.update
-        shift = self._line_shift
-        last_line = -1
-        for dyn in trace:
-            pc = dyn.pc
-            line = pc >> shift
-            if line != last_line:
-                ifetch(pc)
-                last_line = line
-            ea = dyn.ea
-            if ea is not None:
-                daccess(ea, is_write=dyn.is_store)
-            if dyn.is_cond_branch:
-                predict(pc)
-                update(pc, dyn.taken)
+        """The full-trace warm pass over caches and direction predictor."""
+        warm_caches_over(self.mem, trace, self._line_shift)
+        warm_predictor_over(self.predictor, trace)
 
     def advance(self, trace: Trace, start: int, stop: int) -> None:
         """Functionally replay ``trace[start:stop]`` into the state.
 
-        Caches and predictor advance as in :meth:`warm_full`; the BTB
-        and RAS replay the structural updates of
-        ``Pipeline._predict_next`` (push on calls, pop on returns,
-        record resolved indirect targets).
+        Caches advance as in :meth:`warm_full`; every branch goes
+        through :func:`~repro.uarch.pipeline.predict_next`, which
+        trains the direction predictor and updates the BTB and RAS as
+        fetch does.
         """
-        mem = self.mem
-        ifetch = mem.ifetch
-        daccess = mem.daccess
-        predict = self.predictor.predict
-        update = self.predictor.update
-        ras_push = self.ras.push
-        ras_pop = self.ras.pop
-        btb_update = self.btb.update
+        window = trace[start:stop]
+        warm_caches_over(self.mem, window, self._line_shift)
         code = self.program.code
-        shift = self._line_shift
-        last_line = -1
-        for dyn in trace[start:stop]:
-            pc = dyn.pc
-            line = pc >> shift
-            if line != last_line:
-                ifetch(pc)
-                last_line = line
-            ea = dyn.ea
-            if ea is not None:
-                daccess(ea, is_write=dyn.is_store)
+        predictor, btb, ras = self.predictor, self.btb, self.ras
+        for dyn in window:
             if dyn.is_branch:
-                if dyn.is_cond_branch:
-                    predict(pc)
-                    update(pc, dyn.taken)
-                else:
-                    op = dyn.op
-                    if op is Op.JAL:
-                        ras_push(dyn.static_index + 1)
-                    elif op is Op.JR:
-                        if code[dyn.static_index].rs1 == REG_RA:
-                            ras_pop()
-                        btb_update(pc, dyn.target_index)
-                    elif op is Op.JALR:
-                        ras_push(dyn.static_index + 1)
-                        btb_update(pc, dyn.target_index)
+                predict_next(dyn, code, predictor, btb, ras)
 
     def snapshot(self) -> "WarmState":
         """An isolated copy with measurement statistics zeroed."""

@@ -22,7 +22,7 @@ from repro.harness.telemetry import (
     render_jsonl,
     write_job_telemetry,
 )
-from repro.uarch import Pipeline
+from repro.uarch import Pipeline, warm_state_at
 from repro.uarch.config import starting_config
 from repro.uarch.observe import (
     EventTracer,
@@ -156,8 +156,9 @@ def _ring_run(capacity):
     """go at scale 300 with stage metrics and a ring-buffered tracer."""
     program, trace = trace_for("go", 300)
     probe = ProbeSet([StageMetrics(), EventTracer(RingBufferSink(capacity))])
-    return Pipeline(program, trace, starting_config(), probe=probe,
-                    warm_caches=True, warm_predictor=True).run()
+    config = starting_config()
+    return Pipeline(program, trace, config, probe=probe,
+                    warm_state=warm_state_at(program, config, trace, 0)).run()
 
 
 class TestDroppedEvents:

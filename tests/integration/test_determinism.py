@@ -10,7 +10,7 @@ import pytest
 
 from repro.harness import ParallelRunner, SimJob, run_sweep
 from repro.reese import BernoulliFaultModel, EnvironmentalFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads.suite import trace_for
 
 
@@ -21,7 +21,7 @@ def run_twice(config, fault_factory=None):
         fault = fault_factory() if fault_factory else None
         stats = Pipeline(
             program, trace, config, fault_model=fault,
-            warm_caches=True, warm_predictor=True,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
         results.append(stats.to_dict())
     return results
@@ -61,12 +61,13 @@ class TestBitReproducibility:
         program, trace = trace_for("perl", scale=3000)
         outcomes = set()
         for seed in (1, 2, 3, 4):
+            config = starting_config().with_reese()
             stats = Pipeline(
-                program, trace, starting_config().with_reese(),
+                program, trace, config,
                 fault_model=EnvironmentalFaultModel(
                     rate=1e-3, duration=2, seed=seed
                 ),
-                warm_caches=True, warm_predictor=True,
+                warm_state=warm_state_at(program, config, trace, 0),
             ).run()
             outcomes.add((stats.cycles, stats.errors_detected))
         assert len(outcomes) > 1  # seeds actually change behaviour

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.campaign import run_campaign
 from repro.reese import EnvironmentalFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import kernels
 from repro.workloads.suite import trace_for
 
@@ -70,7 +70,7 @@ class TestTimingCampaign:
         )
         stats = Pipeline(
             program, trace, config, fault_model=model,
-            warm_caches=True, warm_predictor=True,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
         return stats, model
 
@@ -107,9 +107,10 @@ class TestTimingCampaign:
 
     def test_recovery_overhead_is_bounded(self, workload):
         program, trace = workload
+        config = starting_config().with_reese()
         clean = Pipeline(
-            program, trace, starting_config().with_reese(),
-            warm_caches=True, warm_predictor=True,
+            program, trace, config,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
         stats, _ = self._run(workload, duration=1)
         # A handful of recoveries should cost well under 20% extra time.

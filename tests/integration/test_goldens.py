@@ -9,13 +9,14 @@ re-generate them:
     python - <<'PY'
     from repro.workloads import BENCHMARK_ORDER
     from repro.workloads.suite import trace_for
-    from repro.uarch import Pipeline, starting_config
-    kw = dict(warm_caches=True, warm_predictor=True)
+    from repro.uarch import Pipeline, starting_config, warm_state_at
+    base = starting_config()
     for n in BENCHMARK_ORDER:
         p, t = trace_for(n, scale=3000)
-        b = Pipeline(p, t, starting_config(), **kw).run()
-        r = Pipeline(p, t, starting_config().with_reese(), **kw).run()
-        d = Pipeline(p, t, starting_config().with_dispatch_dup(), **kw).run()
+        b, r, d = (
+            Pipeline(p, t, c, warm_state=warm_state_at(p, c, t, 0)).run()
+            for c in (base, base.with_reese(), base.with_dispatch_dup())
+        )
         print(n, len(t), b.cycles, r.cycles, d.cycles)
     PY
 
@@ -24,7 +25,7 @@ and update EXPERIMENTS.md if the figure shapes moved.
 
 import pytest
 
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads.suite import trace_for
 
 GOLDEN = {
@@ -42,7 +43,13 @@ GOLDEN = {
                    dup_cycles=2776),
 }
 
-_WARM = dict(warm_caches=True, warm_predictor=True)
+
+def _warm_cycles(name, config):
+    program, trace = trace_for(name, scale=3000)
+    return Pipeline(
+        program, trace, config,
+        warm_state=warm_state_at(program, config, trace, 0),
+    ).run().cycles
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -52,23 +59,16 @@ class TestGoldens:
         assert len(trace) == GOLDEN[name]["trace_len"]
 
     def test_baseline_cycles(self, name):
-        program, trace = trace_for(name, scale=3000)
-        stats = Pipeline(program, trace, starting_config(), **_WARM).run()
-        assert stats.cycles == GOLDEN[name]["baseline_cycles"]
+        cycles = _warm_cycles(name, starting_config())
+        assert cycles == GOLDEN[name]["baseline_cycles"]
 
     def test_reese_cycles(self, name):
-        program, trace = trace_for(name, scale=3000)
-        stats = Pipeline(
-            program, trace, starting_config().with_reese(), **_WARM
-        ).run()
-        assert stats.cycles == GOLDEN[name]["reese_cycles"]
+        cycles = _warm_cycles(name, starting_config().with_reese())
+        assert cycles == GOLDEN[name]["reese_cycles"]
 
     def test_dispatch_dup_cycles(self, name):
-        program, trace = trace_for(name, scale=3000)
-        stats = Pipeline(
-            program, trace, starting_config().with_dispatch_dup(), **_WARM
-        ).run()
-        assert stats.cycles == GOLDEN[name]["dup_cycles"]
+        cycles = _warm_cycles(name, starting_config().with_dispatch_dup())
+        assert cycles == GOLDEN[name]["dup_cycles"]
 
 
 class TestGoldenOrdering:

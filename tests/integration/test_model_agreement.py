@@ -13,6 +13,7 @@ from repro.uarch import (
     bigger_window_config,
     large_machine_config,
     starting_config,
+    warm_state_at,
     wide_datapath_config,
 )
 from repro.workloads import BENCHMARK_ORDER
@@ -76,9 +77,10 @@ class TestWarmupConsistency:
     def test_warmup_changes_timing_not_commits(self):
         program, trace = trace_for("gcc", scale=SCALE)
         cold = Pipeline(program, trace, starting_config()).run()
+        config = starting_config()
         warm = Pipeline(
-            program, trace, starting_config(),
-            warm_caches=True, warm_predictor=True,
+            program, trace, config,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
         assert cold.committed == warm.committed
         assert warm.cycles <= cold.cycles

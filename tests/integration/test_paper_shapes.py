@@ -14,12 +14,23 @@ import statistics
 
 import pytest
 
-from repro.uarch import Pipeline, large_machine_config, starting_config
+from repro.uarch import (
+    Pipeline,
+    large_machine_config,
+    starting_config,
+    warm_state_at,
+)
 from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.suite import trace_for
 
 SCALE = 8000
-_WARM = dict(warm_caches=True, warm_predictor=True)
+
+
+def _warm_ipc(program, trace, config):
+    return Pipeline(
+        program, trace, config,
+        warm_state=warm_state_at(program, config, trace, 0),
+    ).run().ipc
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +40,7 @@ def traces():
 
 def avg_ipc(traces, config):
     return statistics.mean(
-        Pipeline(p, t, config, **_WARM).run().ipc
-        for p, t in traces.values()
+        _warm_ipc(p, t, config) for p, t in traces.values()
     )
 
 
@@ -68,23 +78,20 @@ class TestStartingConfigClaims:
         # equal to) REESE before spare elements are added.
         program, trace = traces["vortex"]
         config = starting_config()
-        base = Pipeline(program, trace, config, **_WARM).run().ipc
-        reese = Pipeline(
-            program, trace, config.with_reese(), **_WARM
-        ).run().ipc
+        base = _warm_ipc(program, trace, config)
+        reese = _warm_ipc(program, trace, config.with_reese())
         assert reese >= base * 0.98
 
     def test_spare_multiplier_rescues_ijpeg(self, traces):
         program, trace = traces["ijpeg"]
         config = starting_config()
-        base = Pipeline(program, trace, config, **_WARM).run().ipc
-        r2a = Pipeline(
-            program, trace, config.with_spares(alu=2).with_reese(), **_WARM
-        ).run().ipc
-        r2a1m = Pipeline(
-            program, trace,
-            config.with_spares(alu=2, mult=1).with_reese(), **_WARM,
-        ).run().ipc
+        base = _warm_ipc(program, trace, config)
+        r2a = _warm_ipc(
+            program, trace, config.with_spares(alu=2).with_reese()
+        )
+        r2a1m = _warm_ipc(
+            program, trace, config.with_spares(alu=2, mult=1).with_reese()
+        )
         assert r2a1m > r2a  # the multiplier is what ijpeg needed
         assert r2a1m >= base * 0.9
 

@@ -39,6 +39,7 @@ from repro.uarch import (
     Pipeline,
     Timeline,
     starting_config,
+    warm_state_at,
 )
 from repro.uarch.sampling import SamplingSpec, run_interval, run_sampled
 from repro.workloads.suite import trace_for
@@ -67,9 +68,10 @@ class TestVisualizerGolden:
 def _timeline(program, trace, config, fault=None, max_records=96,
               warm=False) -> str:
     events = []
+    state = warm_state_at(program, config, trace, 0) if warm else None
     Pipeline(program, trace, config, fault_model=fault,
              probe=EventTracer(CallbackSink(events.append)),
-             warm_caches=warm, warm_predictor=warm).run()
+             warm_state=state).run()
     return Timeline(events, trace, max_records=max_records).render()
 
 
@@ -149,38 +151,38 @@ def test_stats_payload_matches_golden(case):
 FINGERPRINTS = {
     "plain": (
         SimJob("go", BASE, 300),
-        "a6ecf74bd0cedb65c708762106afdea931b226e077f851eb1aa4ac546d428d4d",
+        "021bb15d21330837e4bfc046c36b6b7e5e524ee403a200fb0fe92abe87493ca5",
     ),
     "observed": (
         SimJob("go", BASE, 300, instrument=Instrumentation(metrics=True)),
-        "21399cee6a67c9b3159bad812ab9f625047c7684e2e84d8abddb42fa6973c1db",
+        "91cc007e7d2d213c7d2e6a859abab40f30eb94d8470b03b447e98fd5ff25de9a",
     ),
     "checked": (
         SimJob("go", BASE, 300,
                instrument=Instrumentation(check_invariants=True)),
-        "f52346f3a553720f7c06d2f816328799f7f541e912cc49f5174b2fff7acc8567",
+        "0dd4472848e7538733ccf5cfe1310ee962364ce87f990bea2f2546c35b650673",
     ),
     "profiled": (
         SimJob("go", BASE.with_reese(), 300,
                instrument=Instrumentation(profile=True)),
-        "8b6ffdb09b85e19c5b3f21ddb45d8dbd4a549987bfa6b6aae94768904ca54d63",
+        "5b522ce31a908ea9d553ad5634802734d873b83e7be25644a8cbc6e841db0d44",
     ),
     "traced": (
         SimJob("go", BASE, 300,
                instrument=Instrumentation(trace_path="out.jsonl")),
-        "a6ecf74bd0cedb65c708762106afdea931b226e077f851eb1aa4ac546d428d4d",
+        "021bb15d21330837e4bfc046c36b6b7e5e524ee403a200fb0fe92abe87493ca5",
     ),
     "all": (
         SimJob("gcc", BASE.with_reese(), 300,
                instrument=Instrumentation(
                    metrics=True, check_invariants=True, profile=True,
                    trace_path="t.jsonl")),
-        "9ab66337916f14f5c6c5e1b86523c184570d7c7d287c7aef4c999ab623bd5b2d",
+        "181ec0fc78b441b8756f2769e56e86f59cdf3e511a10a349d41b05e8ab08f9bd",
     ),
     "sampled": (
         SimJob("li", BASE, 2000, sampling=SPEC,
                instrument=Instrumentation(profile=True)),
-        "8e37c544964c2623a311bf620cfd29a3110d8617835c2e03c145185c5879c6a3",
+        "e007b0c8096e267591bf225ac6efa20c18658161a2df432446355bf308e8dcc4",
     ),
 }
 
@@ -192,4 +194,4 @@ def test_fingerprint_digest_is_unchanged(case):
 
 
 def test_cache_version_is_unchanged():
-    assert CACHE_VERSION == 4
+    assert CACHE_VERSION == 5

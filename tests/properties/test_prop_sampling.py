@@ -57,8 +57,8 @@ class TestSamplingAccuracy:
     def test_sampled_ipc_tracks_full_ipc(self, data):
         program, trace = data
         cfg = starting_config()
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        warm = build_warm_state(program, cfg, trace, 0)
+        full = Pipeline(program, trace, cfg, warm_state=warm).run()
         spec = SamplingSpec(6, 150, warmup=40, cooldown=40)
         result = run_sampled(program, trace, cfg, spec)
         assert result.ipc == pytest.approx(full.ipc, rel=0.10)
@@ -69,8 +69,8 @@ class TestSamplingAccuracy:
         # blow the estimate up.
         program, trace = trace_for("li", 4000)
         cfg = starting_config()
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        warm = build_warm_state(program, cfg, trace, 0)
+        full = Pipeline(program, trace, cfg, warm_state=warm).run()
         errors = {}
         for k in (3, 6, 12):
             spec = SamplingSpec(k, 150, warmup=40, cooldown=40)
@@ -85,8 +85,8 @@ class TestSamplingAccuracy:
         # pipeline restart, a small documented windowing cost.
         program, trace = trace_for("go", 3000)
         cfg = starting_config()
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        warm = build_warm_state(program, cfg, trace, 0)
+        full = Pipeline(program, trace, cfg, warm_state=warm).run()
         spec = SamplingSpec(len(trace) // 300 + 1, 300)
         result = run_sampled(program, trace, cfg, spec)
         assert result.detail_fraction == 1.0

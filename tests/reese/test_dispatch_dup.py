@@ -14,7 +14,7 @@ from repro.reese import (
     ScheduledFaultModel,
     UnrecoverableFaultError,
 )
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import kernels
 from repro.workloads.suite import trace_for
 
@@ -115,7 +115,7 @@ class TestDetection:
         model = ScheduledFaultModel([(c, 2, 9) for c in range(50, 800, 50)])
         stats = Pipeline(
             program, trace, dup_config, fault_model=model,
-            warm_caches=True, warm_predictor=True,
+            warm_state=warm_state_at(program, dup_config, trace, 0),
         ).run()
         assert stats.errors_detected > 0
         assert stats.recoveries == stats.errors_detected

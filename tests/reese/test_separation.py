@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch import emulate
 from repro.reese import EnvironmentalFaultModel
-from repro.uarch import Pipeline, starting_config
+from repro.uarch import Pipeline, starting_config, warm_state_at
 from repro.workloads import kernels
 from repro.workloads.suite import trace_for
 
@@ -48,7 +48,8 @@ class TestSeparationAccounting:
         program, trace = trace_for("vortex", scale=5000)
         config = starting_config().with_reese()
         clean = Pipeline(
-            program, trace, config, warm_caches=True, warm_predictor=True
+            program, trace, config,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
         sep = clean.mean_pr_separation
         assert sep > 0
@@ -56,14 +57,14 @@ class TestSeparationAccounting:
         short = EnvironmentalFaultModel(rate=2e-3, duration=1, seed=9)
         short_stats = Pipeline(
             program, trace, config, fault_model=short,
-            warm_caches=True, warm_predictor=True,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
         long = EnvironmentalFaultModel(
             rate=2e-3, duration=int(sep * 50) + 50, seed=9
         )
         long_stats = Pipeline(
             program, trace, config, fault_model=long,
-            warm_caches=True, warm_predictor=True,
+            warm_state=warm_state_at(program, config, trace, 0),
         ).run()
 
         def escape_rate(stats):

@@ -4,7 +4,12 @@ import pytest
 
 from repro.arch import emulate
 from repro.isa import assemble
-from repro.uarch import Pipeline, SimulationTimeoutError, starting_config
+from repro.uarch import (
+    Pipeline,
+    SimulationTimeoutError,
+    build_warm_state,
+    starting_config,
+)
 from repro.workloads import kernels
 
 
@@ -204,17 +209,37 @@ class TestCacheInteraction:
         program, _ = kernels.vector_sum(256, seed=5)
         result = emulate(program)
         cold = Pipeline(program, result.trace, cfg).run()
-        warm = Pipeline(program, result.trace, cfg,
-                        warm_caches=True).run()
+        warm = Pipeline(
+            program, result.trace, cfg,
+            warm_state=build_warm_state(program, cfg, result.trace, 0),
+        ).run()
         assert warm.cycles < cold.cycles
         assert warm.cache_stats["l1d"]["misses"] < \
             cold.cache_stats["l1d"]["misses"]
 
     def test_warmup_zeroes_cache_stats(self, cfg, loop_trace):
         program, trace = loop_trace
-        stats = Pipeline(program, trace, cfg, warm_caches=True).run()
+        stats = Pipeline(
+            program, trace, cfg,
+            warm_state=build_warm_state(program, cfg, trace, 0),
+        ).run()
         # The loop touches no data; after warm-up the I-side should hit.
         assert stats.cache_stats["l1i"]["misses"] == 0
+
+        # A data-touching trace: the warm-up pass must leave no D-TLB
+        # count behind either.  Every D-cache access (loads at issue,
+        # stores at commit) goes through the TLB exactly once, so the
+        # measured TLB lookups equal the measured L1D accesses.
+        program, _ = kernels.vector_sum(256, seed=5)
+        trace = emulate(program).trace
+        stats = Pipeline(
+            program, trace, cfg,
+            warm_state=build_warm_state(program, cfg, trace, 0),
+        ).run()
+        dtlb, l1d = stats.cache_stats["dtlb"], stats.cache_stats["l1d"]
+        assert l1d["accesses"] > 0
+        assert dtlb["hits"] + dtlb["misses"] == l1d["accesses"]
+        assert dtlb["misses"] == 0  # every page was touched in warm-up
 
 
 class TestDeadlockGuard:

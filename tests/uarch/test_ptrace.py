@@ -10,6 +10,7 @@ from repro.uarch import (
     Pipeline,
     Timeline,
     starting_config,
+    warm_state_at,
 )
 
 
@@ -96,9 +97,11 @@ class TestReeseEvents:
         from repro.workloads.suite import trace_for
         program, trace = trace_for("vortex", scale=3000)
         model = ScheduledFaultModel([(c, 2, 9) for c in range(50, 600, 50)])
+        config = starting_config().with_reese()
         timeline, stats, _ = timeline_of(
-            program, trace, starting_config().with_reese(),
-            fault_model=model, warm_caches=True, warm_predictor=True,
+            program, trace, config,
+            fault_model=model,
+            warm_state=warm_state_at(program, config, trace, 0),
         )
         assert len(timeline.recoveries) == stats.recoveries > 0
         assert "recoveries at cycles" in timeline.render(limit=1)

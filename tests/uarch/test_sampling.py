@@ -125,15 +125,33 @@ class TestSelectIntervals:
         assert same != select_intervals(50_000, spec_b)
 
 
+#: Every kind ``make_predictor`` builds.
+PREDICTOR_KINDS = ["gshare", "bimodal", "combining", "local", "taken",
+                   "nottaken", "perfect"]
+
+#: Machine modes by the commit path they exercise: baseline, REESE and
+#: dispatch duplication.
+MODES = {
+    "base": lambda cfg: cfg,
+    "reese": lambda cfg: cfg.with_reese(),
+    "dup": lambda cfg: cfg.with_dispatch_dup(),
+}
+
+
 class TestMispredictProfile:
-    def test_matches_detailed_pipeline_exactly(self, workload, cfg):
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_matches_detailed_pipeline_exactly(self, workload, cfg, mode,
+                                               kind):
         # Mispredict events are a pure trace property (predictors train
         # at fetch with trace ground truth), so the functional replay
-        # must reproduce the detailed simulator's count exactly.
+        # must reproduce the detailed simulator's count exactly, for
+        # every predictor and whatever the back end does.
         program, trace = workload
-        profile = mispredict_profile(program, trace, cfg)
+        config = MODES[mode](dataclasses.replace(cfg, predictor=kind))
+        profile = mispredict_profile(program, trace, config)
         assert len(profile) == len(trace) + 1
-        stats = Pipeline(program, trace, cfg).run()
+        stats = Pipeline(program, trace, config).run()
         assert profile[-1] == stats.mispredictions
 
     def test_prefix_sums_monotonic(self, workload, cfg):
@@ -221,8 +239,8 @@ class TestRunSampled:
 
     def test_reasonable_accuracy_vs_full_run(self, workload, cfg):
         program, trace = workload
-        full = Pipeline(program, trace, cfg, warm_caches=True,
-                        warm_predictor=True).run()
+        warm = build_warm_state(program, cfg, trace, 0)
+        full = Pipeline(program, trace, cfg, warm_state=warm).run()
         spec = SamplingSpec(6, 200, warmup=50, cooldown=50)
         result = run_sampled(program, trace, cfg, spec)
         assert result.ipc == pytest.approx(full.ipc, rel=0.05)
