@@ -5,22 +5,20 @@ Static analysis of a workload depends only on its instruction stream
 result is cached under ``.repro_cache/analysis/`` keyed by
 :func:`program_fingerprint` — a sweep that re-analyses the same
 assembled program (same benchmark, same scale/seed) pays the dataflow
-fixpoints once.  The layout mirrors
-:class:`repro.harness.parallel.ResultCache`: JSON entries in
-fan-out subdirectories, atomic writes, unreadable or version-mismatched
-entries treated as misses.
+fixpoints once.  It is the same store as
+:class:`repro.harness.parallel.ResultCache`
+(:class:`repro.jsonstore.JSONStore`): JSON entries in fan-out
+subdirectories, atomic writes, unreadable or version-mismatched entries
+treated as misses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pathlib
-import warnings
-from typing import Any, Dict, Optional
 
 from ..isa.program import Program
+from ..jsonstore import JSONStore
 
 #: Bump when the analysis semantics or the cached payload change.
 ANALYSIS_VERSION = 1
@@ -51,50 +49,9 @@ def program_fingerprint(program: Program) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class AnalysisCache:
+class AnalysisCache(JSONStore):
     """Hash-keyed JSON store for serialised analysis results."""
 
-    def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        base = pathlib.Path(
-            root
-            if root is not None
-            else os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        )
-        self.root = base / ANALYSIS_SUBDIR
-        self._write_warned = False
-
-    def path_for(self, fingerprint: str) -> pathlib.Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        try:
-            data = json.loads(self.path_for(fingerprint).read_text())
-        except (OSError, ValueError):
-            return None
-        if data.get("version") != ANALYSIS_VERSION:
-            return None
-        if data.get("fingerprint") != fingerprint:
-            return None
-        return data
-
-    def put(self, fingerprint: str, payload: Dict[str, Any]) -> None:
-        blob = json.dumps(
-            {**payload, "version": ANALYSIS_VERSION,
-             "fingerprint": fingerprint},
-            sort_keys=True,
-        )
-        try:
-            path = self.path_for(fingerprint)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(blob)
-            os.replace(tmp, path)
-        except OSError as error:
-            if not self._write_warned:
-                self._write_warned = True
-                warnings.warn(
-                    f"analysis cache at {self.root} is not writable "
-                    f"({error}); continuing without caching",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    version = ANALYSIS_VERSION
+    subdir = ANALYSIS_SUBDIR
+    label = "analysis cache"

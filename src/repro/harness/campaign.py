@@ -68,29 +68,39 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def _classify_run(
-    program: Program,
-    rate: float,
-    run_seed: int,
-    max_instructions: int,
-    golden_state: Tuple,
-) -> Tuple[str, int]:
-    """One injected emulation: (outcome label, injections performed)."""
-    hook, log = make_emulator_injector(rate=rate, seed=run_seed)
+def _classify(program: Program, hook, log: List, max_instructions: int,
+              golden_state: Tuple) -> str:
+    """Outcome label of one injected emulation.
+
+    ``hook`` is the emulator ``inject`` callback and ``log`` the list it
+    appends one record to per injection it performs.
+    """
     try:
-        outcome_run = emulate(
-            program, max_instructions=max_instructions,
-            collect_trace=False, inject=hook,
-        )
+        run = emulate(program, max_instructions=max_instructions,
+                      collect_trace=False, inject=hook)
     except (MisalignedAccessError, EmulatorError):
-        return "crash", len(log)
+        return "crash"
     if not log:
-        return "clean", len(log)
-    if not outcome_run.halted:
-        return "hang", len(log)
-    if (outcome_run.output, outcome_run.memory.snapshot()) == golden_state:
-        return "masked", len(log)
-    return "sdc", len(log)
+        return "clean"
+    if not run.halted:
+        return "hang"
+    if (run.output, run.memory.snapshot()) == golden_state:
+        return "masked"
+    return "sdc"
+
+
+def _golden_state(program: Program, max_instructions: int,
+                  inject=None) -> Tuple:
+    """The ``(output, memory snapshot)`` pair of the fault-free run.
+
+    Raises:
+        ValueError: when the golden run does not halt in budget.
+    """
+    golden = emulate(program, max_instructions=max_instructions,
+                     collect_trace=False, inject=inject)
+    if not golden.halted:
+        raise ValueError("golden run did not halt; raise max_instructions")
+    return golden.output, golden.memory.snapshot()
 
 
 def _campaign_chunk(payload) -> Tuple[Counter, int]:
@@ -104,11 +114,10 @@ def _campaign_chunk(payload) -> Tuple[Counter, int]:
     outcomes: Counter = Counter()
     injections = 0
     for run_index in indices:
-        outcome, injected = _classify_run(
-            program, rate, seed + run_index, max_instructions, golden_state
-        )
-        outcomes[outcome] += 1
-        injections += injected
+        hook, log = make_emulator_injector(rate=rate, seed=seed + run_index)
+        outcomes[_classify(program, hook, log, max_instructions,
+                           golden_state)] += 1
+        injections += len(log)
     return outcomes, injections
 
 
@@ -131,12 +140,7 @@ def run_campaign(
         jobs: worker processes (``None``/``1`` = sequential).  Outcome
             counts are identical for any value.
     """
-    golden = emulate(program, max_instructions=max_instructions,
-                     collect_trace=False)
-    if not golden.halted:
-        raise ValueError("golden run did not halt; raise max_instructions")
-    golden_state = (golden.output, golden.memory.snapshot())
-
+    golden_state = _golden_state(program, max_instructions)
     result = CampaignResult(program.name, runs, rate)
     chunks = _chunk_indices(runs, jobs or 1)
     payloads = [
@@ -246,11 +250,7 @@ def count_site_executions(
     def counting_hook(dyn) -> None:
         counts[dyn.static_index] += 1
 
-    golden = emulate(program, max_instructions=max_instructions,
-                     collect_trace=False, inject=counting_hook)
-    if not golden.halted:
-        raise ValueError("golden run did not halt; raise max_instructions")
-    return (golden.output, golden.memory.snapshot()), counts
+    return _golden_state(program, max_instructions, counting_hook), counts
 
 
 def sample_sites(
@@ -380,38 +380,18 @@ class SiteCampaignResult:
         return "\n".join(lines)
 
 
-def _classify_site_run(
-    program: Program,
-    sample: SiteSample,
-    max_instructions: int,
-    golden_state: Tuple,
-) -> str:
-    """Outcome label of one targeted injection."""
-    hook, log = make_site_injector(sample.index, sample.occurrence,
-                                   sample.bit)
-    try:
-        run = emulate(program, max_instructions=max_instructions,
-                      collect_trace=False, inject=hook)
-    except (MisalignedAccessError, EmulatorError):
-        return "crash"
-    if not log:
-        return "clean"  # defensive: occurrence beyond execution count
-    if not run.halted:
-        return "hang"
-    if (run.output, run.memory.snapshot()) == golden_state:
-        return "masked"
-    return "sdc"
-
-
 def _site_chunk(payload) -> List[Tuple[int, str]]:
     """Pool worker: classify a chunk of planned site injections."""
     program, max_instructions, golden_state, samples, indices = payload
     out: List[Tuple[int, str]] = []
     for sample_index in indices:
-        outcome = _classify_site_run(
-            program, samples[sample_index], max_instructions, golden_state
-        )
-        out.append((sample_index, outcome))
+        sample = samples[sample_index]
+        hook, log = make_site_injector(sample.index, sample.occurrence,
+                                       sample.bit)
+        # An empty log ("clean") is defensive: occurrence beyond the
+        # execution count.
+        out.append((sample_index, _classify(
+            program, hook, log, max_instructions, golden_state)))
     return out
 
 

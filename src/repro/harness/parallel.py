@@ -47,12 +47,11 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pathlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from ..jsonstore import JSONStore
 from ..reese.faults import (
     BernoulliFaultModel,
     EnvironmentalFaultModel,
@@ -87,10 +86,10 @@ from .telemetry import write_job_telemetry
 #: v5: full warm runs start from the sampled engine's warm state, whose
 #: snapshot zeroes the D-TLB counters too (the warm-up pass used to be
 #: counted in ``cache_stats["dtlb"]``).
-CACHE_VERSION = 5
-
-#: Default on-disk cache location (relative to the working directory).
-DEFAULT_CACHE_DIR = ".repro_cache"
+#: v6: ``stage_metrics`` of a run with a ``measure_from`` window (every
+#: sampled interval) covers only the window; it used to count the
+#: detailed warm-up cycles too.
+CACHE_VERSION = 6
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -210,32 +209,19 @@ def job_fingerprint(job: SimJob) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class ResultCache:
+class ResultCache(JSONStore):
     """On-disk Stats cache keyed by :func:`job_fingerprint`.
 
-    Entries are JSON files under ``<root>/<fp[:2]>/<fp>.json``; writes
-    go through a temp file + ``os.replace`` so concurrent workers never
-    expose a torn entry.  Unreadable or version-mismatched entries are
-    treated as misses.
+    A :class:`repro.jsonstore.JSONStore` at the cache root whose
+    entries hold one ``stats`` payload; undecodable Stats are a miss.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        self.root = pathlib.Path(
-            root
-            if root is not None
-            else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        )
-        self._write_warned = False
-
-    def path_for(self, fingerprint: str) -> pathlib.Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
+    version = CACHE_VERSION
+    label = "result cache"
 
     def get(self, fingerprint: str) -> Optional[Stats]:
-        try:
-            data = json.loads(self.path_for(fingerprint).read_text())
-        except (OSError, ValueError):
-            return None
-        if data.get("version") != CACHE_VERSION:
+        data = super().get(fingerprint)
+        if data is None:
             return None
         try:
             return Stats.from_dict(data["stats"])
@@ -243,30 +229,7 @@ class ResultCache:
             return None
 
     def put(self, fingerprint: str, stats: Stats) -> None:
-        blob = json.dumps(
-            {
-                "version": CACHE_VERSION,
-                "fingerprint": fingerprint,
-                "stats": stats.state_dict(),
-            }
-        )
-        try:
-            path = self.path_for(fingerprint)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(blob)
-            os.replace(tmp, path)
-        except OSError as error:
-            # A broken cache must never kill an hour-long sweep: results
-            # are already in hand, so degrade to uncached and say so once.
-            if not self._write_warned:
-                self._write_warned = True
-                warnings.warn(
-                    f"result cache at {self.root} is not writable "
-                    f"({error}); continuing without caching",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        super().put(fingerprint, {"stats": stats.state_dict()})
 
 
 @dataclass

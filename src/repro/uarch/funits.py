@@ -56,9 +56,11 @@ class FUPool:
         self._r_until: Dict[str, List[int]] = {
             key: [0] * len(pool) for key, pool in self._pools.items()
         }
-        # FUClass -> (pool, r_until, oplat, issuelat); mem uses oplat 0
-        # sentinel.
-        self._dispatch: Dict[int, Tuple[List[int], List[int], int, int]] = {}
+        # FUClass -> (pool, r_until, oplat, issuelat, pool key); mem uses
+        # oplat 0 sentinel.
+        self._dispatch: Dict[
+            int, Tuple[List[int], List[int], int, int, str]
+        ] = {}
         for fu_class, (pool_key, op_attr, issue_attr) in self._OP_MAP.items():
             pool = self._pools[pool_key]
             if fu_class is FUClass.MEM_PORT:
@@ -67,8 +69,9 @@ class FUPool:
                 oplat = getattr(lat, op_attr)
                 issuelat = getattr(lat, issue_attr)
             self._dispatch[int(fu_class)] = (
-                pool, self._r_until[pool_key], oplat, issuelat,
+                pool, self._r_until[pool_key], oplat, issuelat, pool_key,
             )
+        #: Granted acquires per pool (reporting only).
         self.issues: Dict[str, int] = {key: 0 for key in self._pools}
         #: R-stream-only slice of :attr:`issues` (REESE re-executions
         #: and dispatch-duplication shadow copies), for the per-stage
@@ -82,19 +85,26 @@ class FUPool:
 
         Args:
             r_stream: the acquiring operation belongs to the redundant
-                stream (so :meth:`blame` can say which stream holds a
-                busy unit).
+                stream (an R-stream re-execution or a dispatch-dup
+                shadow copy), so :meth:`blame` can say which stream
+                holds a busy unit and :attr:`issues_r` counts it.
 
         Returns:
             The operation latency (0 for memory ports, whose latency the
             caller computes from the cache model), or ``None`` if every
-            unit of the class is busy this cycle.
+            unit of the class is busy this cycle.  A grant counts one
+            issue in :attr:`issues`.
         """
-        pool, r_until, oplat, issuelat = self._dispatch[int(fu_class)]
+        pool, r_until, oplat, issuelat, key = self._dispatch[int(fu_class)]
         for index, next_free in enumerate(pool):
             if next_free <= cycle:
                 pool[index] = cycle + issuelat
-                r_until[index] = cycle + issuelat if r_stream else 0
+                self.issues[key] += 1
+                if r_stream:
+                    r_until[index] = cycle + issuelat
+                    self.issues_r[key] += 1
+                else:
+                    r_until[index] = 0
                 return oplat
         return None
 
@@ -106,7 +116,7 @@ class FUPool:
         free, so the conflict is R-induced), ``"P"`` otherwise.  Only
         meaningful right after an acquire returned ``None``.
         """
-        pool, r_until, _, _ = self._dispatch[int(fu_class)]
+        pool, r_until = self._dispatch[int(fu_class)][:2]
         for index, next_free in enumerate(pool):
             if next_free > cycle and r_until[index] >= next_free:
                 return "R"
@@ -116,16 +126,3 @@ class FUPool:
         """Number of units of the class free to accept an op this cycle."""
         pool = self._dispatch[int(fu_class)][0]
         return sum(1 for next_free in pool if next_free <= cycle)
-
-    def record_issue(self, fu_class: FUClass, r_stream: bool = False) -> None:
-        """Update per-pool issue counters (reporting only).
-
-        Args:
-            fu_class: the class the operation issued to.
-            r_stream: the issue belongs to the redundant stream (an
-                R-stream re-execution or a dispatch-dup shadow copy).
-        """
-        pool_key = self._OP_MAP[fu_class][0]
-        self.issues[pool_key] += 1
-        if r_stream:
-            self.issues_r[pool_key] += 1

@@ -439,16 +439,21 @@ class StageMetrics(Probe):
     STALLS = ("fetch_blocked", "rqueue_full", "empty_window", "no_commit")
 
     def __init__(self) -> None:
+        self._pipe = None
+        self.reset()
+
+    def bind(self, pipe) -> None:
+        self._pipe = pipe
+
+    def reset(self) -> None:
+        """Zero the registry (the ``measure_from`` window opens), so it
+        covers the same cycles as the run's Stats."""
         self.cycles_sampled = 0
         self.occupancy: Dict[str, Dict[int, int]] = {
             key: {} for key in self.STRUCTURES
         }
         self.stalls: Dict[str, int] = {key: 0 for key in self.STALLS}
         self._last_committed = 0
-        self._pipe = None
-
-    def bind(self, pipe) -> None:
-        self._pipe = pipe
 
     def finalize(self, stats) -> None:
         stats.stage_metrics = self.state_dict(self._pipe)

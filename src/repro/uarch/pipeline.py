@@ -494,11 +494,16 @@ class Pipeline:
                 break
             if head.is_store and not self._write_store(head.dyn.ea):
                 break
-            self._retire_entry(head)
+            if head.trace_seq == self._measure_from:
+                self._begin_measurement()
+            done = self._retire(head.dyn, entry=head)
+            if head.p_fault_bit is not None:
+                # No comparator: the corrupted result commits silently.
+                self.stats.sdc_commits += 1
             ruu.pop(0)
             if head.is_mem:
                 self._lsq_remove(head)
-            if self._done:
+            if done:
                 return
             budget -= 1
 
@@ -513,7 +518,6 @@ class Pipeline:
         """
         budget = self.config.commit_width
         ruu = self.ruu
-        probe = self.probe
         while budget and ruu:
             head = ruu[0]
             if head.wrong_path or not head.completed:
@@ -524,33 +528,18 @@ class Pipeline:
             if head.trace_seq == self._measure_from:
                 self._begin_measurement()
             if shadow is not None:
-                self.stats.comparisons += 1
                 p_val = reese_p_value(head.dyn)
                 if head.p_fault_bit is not None:
                     p_val = corrupt_value(p_val, head.p_fault_bit)
                 r_val = reese_reexecute(head.dyn)
                 if shadow.p_fault_bit is not None:
                     r_val = corrupt_value(r_val, shadow.p_fault_bit)
-                match = values_equal(p_val, r_val)
-                if probe is not None:
-                    probe.notify("compare", self.cycle, head, match=match)
-                if not match:
-                    self._handle_detected_error(head.trace_seq)
+                if not self._compare(head.trace_seq, p_val, head.p_fault_bit,
+                                     r_val, shadow.p_fault_bit, entry=head):
                     return
-                if (
-                    head.p_fault_bit is not None
-                    and shadow.p_fault_bit is not None
-                ):
-                    self.stats.errors_undetected_same_event += 1
             if head.is_store and not self._write_store(head.dyn.ea):
                 break
-            self.retry.record_success(head.trace_seq)
-            if probe is not None:
-                probe.notify("commit", self.cycle, head)
-            self.stats.committed += 1
-            self.commit_seq = head.trace_seq + 1
-            if head.is_halt or head.trace_seq == self._stop_after:
-                self._done = True
+            done = self._retire(head.dyn, entry=head)
             ruu.pop(0)
             if head.is_mem:
                 self._lsq_remove(head)
@@ -562,23 +551,9 @@ class Pipeline:
                     ruu.remove(shadow)
                 if shadow.is_mem:
                     self._lsq_remove(shadow)
-            if self._done:
+            if done:
                 return
             budget -= 1
-
-    def _retire_entry(self, entry: _Entry) -> None:
-        """Architectural retirement bookkeeping (baseline path)."""
-        if entry.trace_seq == self._measure_from:
-            self._begin_measurement()
-        if self.probe is not None:
-            self.probe.notify("commit", self.cycle, entry)
-        if entry.p_fault_bit is not None:
-            # No comparator: the corrupted result commits silently.
-            self.stats.sdc_commits += 1
-        self.stats.committed += 1
-        self.commit_seq = entry.trace_seq + 1
-        if entry.is_halt or entry.trace_seq == self._stop_after:
-            self._done = True
 
     def _commit_reese(self) -> None:
         # Phase 1: final commit — compare and retire from the R-stream
@@ -594,22 +569,10 @@ class Pipeline:
             if rentry.seq == self._measure_from:
                 self._begin_measurement()
             if not rentry.skip_r:
-                self.stats.comparisons += 1
-                match = values_equal(rentry.p_value, rentry.r_value)
-                if probe is not None:
-                    probe.notify(
-                        "compare", self.cycle, rentry=rentry, match=match
-                    )
-                if not match:
-                    self._handle_detected_error(rentry.seq)
+                if not self._compare(rentry.seq, rentry.p_value,
+                                     rentry.p_fault_bit, rentry.r_value,
+                                     rentry.r_fault_bit, rentry=rentry):
                     return
-                if (
-                    rentry.p_fault_bit is not None
-                    and rentry.r_fault_bit is not None
-                ):
-                    # Both corrupted identically inside one environmental
-                    # event: comparison passes, the error escapes.
-                    self.stats.errors_undetected_same_event += 1
             elif rentry.p_fault_bit is not None:
                 # Re-execution skipped (duty cycle): corruption escapes.
                 self.stats.sdc_commits += 1
@@ -619,16 +582,7 @@ class Pipeline:
                 if rentry.lsq_entry is not None:
                     self._lsq_remove(rentry.lsq_entry)
             rqueue.pop(rentry.seq)
-            self.retry.record_success(rentry.seq)
-            if probe is not None:
-                probe.notify(
-                    "commit", self.cycle, trace_seq=rentry.seq,
-                    rentry=rentry,
-                )
-            self.stats.committed += 1
-            self.commit_seq = rentry.seq + 1
-            if dyn.op is Op.HALT or rentry.seq == self._stop_after:
-                self._done = True
+            if self._retire(dyn, rentry=rentry):
                 return
             budget -= 1
 
@@ -701,15 +655,54 @@ class Pipeline:
             return FUClass.INT_ALU
         return entry.fu
 
-    def _handle_detected_error(self, trace_seq: int) -> None:
-        """A failed comparison: count it, then flush and refetch from
-        ``trace_seq`` (or stop the machine once its retries run out)."""
-        self.stats.errors_detected += 1
-        self.stats.recoveries += 1
-        if self.retry.record_failure(trace_seq):
-            self.stats.unrecoverable = True
-            raise UnrecoverableFaultError(trace_seq, self.retry.failures)
-        self._flush_all(refetch_cursor=trace_seq)
+    def _compare(self, trace_seq: int, p_val, p_bit: Optional[int], r_val,
+                 r_bit: Optional[int], entry: Optional[_Entry] = None,
+                 rentry: Optional[REntry] = None) -> bool:
+        """The commit-time P/R comparison of REESE and dispatch-dup.
+
+        ``p_val``/``r_val`` are the (possibly corrupted) results and
+        ``p_bit``/``r_bit`` the fault bits that corrupted them.  A
+        mismatch is a detected error: the machine flushes and refetches
+        from ``trace_seq`` (or stops once its retries run out) and the
+        caller must stop committing this cycle (False).
+        """
+        self.stats.comparisons += 1
+        match = values_equal(p_val, r_val)
+        if self.probe is not None:
+            self.probe.notify("compare", self.cycle, entry, rentry=rentry,
+                              match=match)
+        if not match:
+            self.stats.errors_detected += 1
+            self.stats.recoveries += 1
+            if self.retry.record_failure(trace_seq):
+                self.stats.unrecoverable = True
+                raise UnrecoverableFaultError(trace_seq, self.retry.failures)
+            self._flush_all(refetch_cursor=trace_seq)
+            return False
+        if p_bit is not None and r_bit is not None:
+            # Both corrupted identically inside one environmental
+            # event: comparison passes, the error escapes.
+            self.stats.errors_undetected_same_event += 1
+        return True
+
+    def _retire(self, dyn: DynInst, entry: Optional[_Entry] = None,
+                rentry: Optional[REntry] = None) -> bool:
+        """Architectural retirement of ``dyn`` on every commit path.
+
+        ``entry`` is the retiring RUU entry (baseline, dispatch-dup) or
+        ``rentry`` the R-stream Queue entry (REESE).  Returns True when
+        this commit ends the run (a halt, or the ``stop_after`` seq).
+        """
+        seq = dyn.seq
+        self.retry.record_success(seq)
+        if self.probe is not None:
+            self.probe.notify("commit", self.cycle, entry, trace_seq=seq,
+                              rentry=rentry)
+        self.stats.committed += 1
+        self.commit_seq = seq + 1
+        if dyn.op is Op.HALT or seq == self._stop_after:
+            self._done = True
+        return self._done
 
     def _write_store(self, ea: int) -> bool:
         """Commit a store's D-cache write through a memory port.
@@ -718,7 +711,6 @@ class Pipeline:
         """
         if self.fupool.acquire(FUClass.MEM_PORT, self.cycle) is None:
             return False
-        self.fupool.record_issue(FUClass.MEM_PORT)
         self.mem.daccess(ea, is_write=True)
         return True
 
@@ -896,13 +888,8 @@ class Pipeline:
             return 1
         if entry.is_load:
             return self._try_issue_load(entry, cycle)
-        grant = self.fupool.acquire(entry.fu, cycle, entry.is_shadow)
-        if grant is None:
-            if self.probe is not None:
-                self.probe.notify("fu_block", cycle, entry, fu=entry.fu)
-            return None
-        self.fupool.record_issue(entry.fu, entry.is_shadow)
-        return max(1, grant)
+        grant = self._acquire_p(entry, entry.fu, cycle)
+        return None if grant is None else max(1, grant)
 
     def _try_issue_load(self, entry: _Entry, cycle: int) -> Optional[int]:
         ea = entry.dyn.ea if entry.dyn is not None else None
@@ -924,17 +911,21 @@ class Pipeline:
         if forward:
             self.stats.load_forwards += 1
             return 1  # store-to-load forwarding inside the LSQ
-        grant = self.fupool.acquire(FUClass.MEM_PORT, cycle, entry.is_shadow)
-        if grant is None:
-            if self.probe is not None:
-                self.probe.notify(
-                    "fu_block", cycle, entry, fu=FUClass.MEM_PORT
-                )
+        if self._acquire_p(entry, FUClass.MEM_PORT, cycle) is None:
             return None
-        self.fupool.record_issue(FUClass.MEM_PORT, entry.is_shadow)
         if entry.wrong_path or ea is None:
             return self._l1d_hit  # wrong path: no cache state pollution
         return max(1, self.mem.daccess(ea, is_write=False))
+
+    def _acquire_p(self, entry: _Entry, fu: FUClass,
+                   cycle: int) -> Optional[int]:
+        """Acquire a unit of ``fu`` for P entry ``entry``, or raise
+        ``fu_block``; returns the grant (None when every unit is busy)."""
+        grant = self.fupool.acquire(fu, cycle, entry.is_shadow)
+        if grant is None:
+            if self.probe is not None:
+                self.probe.notify("fu_block", cycle, entry, fu=fu)
+        return grant
 
     def _issue_r(self, budget: int) -> int:
         cycle = self.cycle
@@ -957,7 +948,6 @@ class Pipeline:
                 if probe is not None:
                     probe.notify("fu_block", cycle, rentry=rentry)
                 continue  # FU busy: skip — R entries are independent
-            self.fupool.record_issue(fu, True)
             if fu is FUClass.MEM_PORT:
                 latency = self._l1d_hit  # R loads always hit in L1 (§4.4)
             else:
@@ -1088,23 +1078,29 @@ class Pipeline:
         budget = self.config.fetch_width
         ifq_cap = self.config.fetch_queue_size
         trace = self.trace
+        ifq = self.ifq
+        probe = self.probe
         fetched_any = False
-        while budget and len(self.ifq) < ifq_cap:
+        while budget and len(ifq) < ifq_cap:
             if self.wp_active:
-                if not self._fetch_wrong_path():
-                    break
-                fetched_any = True
+                entry = self._fetch_wrong_path()
+            elif self.fetch_cursor < len(trace):
+                entry = self._fetch_correct_path(trace[self.fetch_cursor])
             else:
-                if self.fetch_cursor >= len(trace):
-                    break
-                if not self._fetch_correct_path(trace[self.fetch_cursor]):
-                    break
-                fetched_any = True
+                break
+            if entry is None:
+                break
+            ifq.append(entry)
+            if probe is not None:
+                probe.notify("fetch", self.cycle, entry)
+            fetched_any = True
             budget -= 1
-        if not fetched_any and not self.ifq:
+        if not fetched_any and not ifq:
             self.stats.ifq_empty_cycles += 1
 
-    def _fetch_correct_path(self, dyn: DynInst) -> bool:
+    def _fetch_correct_path(self, dyn: DynInst) -> Optional[_Entry]:
+        """Fetch trace instruction ``dyn``: its new entry, or None when
+        an I-cache miss stalls fetch."""
         # Instruction-cache probe (one access per line).
         line = dyn.pc >> self._line_shift
         if line != self._last_fetch_line:
@@ -1113,7 +1109,7 @@ class Pipeline:
             if latency > self._l1i_hit:
                 # Miss: fetch stalls for the extra cycles.
                 self.fetch_blocked_until = self.cycle + (latency - self._l1i_hit)
-                return False
+                return None
 
         entry = self._make_entry(dyn=dyn, static_index=dyn.static_index)
         self.stats.fetched += 1
@@ -1147,16 +1143,15 @@ class Pipeline:
                 self._last_fetch_line = -1
         else:
             self.fetch_cursor += 1
-        self.ifq.append(entry)
-        if self.probe is not None:
-            self.probe.notify("fetch", self.cycle, entry)
-        return True
+        return entry
 
-    def _fetch_wrong_path(self) -> bool:
+    def _fetch_wrong_path(self) -> Optional[_Entry]:
+        """Fetch the next wrong-path instruction: its new entry, or None
+        when wrong-path fetch has nowhere to go (a stall)."""
         index = self.wp_index
         code = self.program.code
         if index < 0 or index >= len(code):
-            return False  # wrong-path fetch has nowhere to go: stall
+            return None
         inst = code[index]
         info = OPINFO[inst.op]
         entry = self._make_entry(dyn=None, static_index=index, inst=inst)
@@ -1177,10 +1172,7 @@ class Pipeline:
             self.wp_index = -1  # indirect target unknown on the wrong path
         else:
             self.wp_index = index + 1
-        self.ifq.append(entry)
-        if self.probe is not None:
-            self.probe.notify("fetch", self.cycle, entry)
-        return True
+        return entry
 
     def _make_entry(
         self,

@@ -13,7 +13,11 @@ observer), so they pin that the move changed nothing a run computes:
 * ``stats_payloads.json`` — ``Stats.state_dict()`` of small runs with
   stage metrics and the cycle accountant on (REESE, baseline,
   dispatch-dup, faulted REESE, a sampled interval and a whole sampled
-  run);
+  run).  Four more cases were produced before the three commit paths
+  came to share one compare and one retire step: faulted dispatch-dup
+  (detections and same-event escapes), faulted baseline (silent
+  corruption) and sampled intervals on baseline and dispatch-dup
+  (their measurement window opening);
 * the ``job_fingerprint`` digests below.
 
 A deliberate change to the timing model or to a payload layout must
@@ -110,10 +114,10 @@ _CHECKED = Instrumentation(metrics=True, check_invariants=True, profile=True)
 _PROFILED = Instrumentation(metrics=True, profile=True)
 
 
-def _sampled_interval():
+def _sampled_interval(config, instrument):
     program, trace = trace_for("go", 2000)
-    return run_interval(program, trace, BASE.with_reese(), SPEC, 2,
-                        instrument=_PROFILED)
+    return run_interval(program, trace, config, SPEC, 2,
+                        instrument=instrument)
 
 
 def _sampled_whole():
@@ -133,7 +137,20 @@ PAYLOADS = {
         "vortex", BASE.with_reese(), scale=800,
         fault_model=EnvironmentalFaultModel(rate=5e-3, duration=2, seed=11),
         instrument=_PROFILED),
-    "sampled_interval_go": _sampled_interval,
+    "faulted_dispatch_dup_li": lambda: run_benchmark(
+        "li", BASE.with_dispatch_dup(), scale=800,
+        fault_model=EnvironmentalFaultModel(rate=5e-3, duration=2, seed=11),
+        instrument=_PROFILED),
+    "faulted_baseline_vortex": lambda: run_benchmark(
+        "vortex", BASE, scale=800,
+        fault_model=EnvironmentalFaultModel(rate=5e-3, duration=2, seed=11),
+        instrument=_PROFILED),
+    "sampled_interval_go": lambda: _sampled_interval(
+        BASE.with_reese(), _PROFILED),
+    "sampled_interval_go_baseline": lambda: _sampled_interval(
+        BASE, Instrumentation(profile=True)),
+    "sampled_interval_go_dispatch_dup": lambda: _sampled_interval(
+        BASE.with_dispatch_dup(), Instrumentation(profile=True)),
     "sampled_whole_go": _sampled_whole,
 }
 
@@ -151,38 +168,38 @@ def test_stats_payload_matches_golden(case):
 FINGERPRINTS = {
     "plain": (
         SimJob("go", BASE, 300),
-        "021bb15d21330837e4bfc046c36b6b7e5e524ee403a200fb0fe92abe87493ca5",
+        "975f2e6d021939369f9fb086da37958b6e6ccb9a734554762ba064690018bb54",
     ),
     "observed": (
         SimJob("go", BASE, 300, instrument=Instrumentation(metrics=True)),
-        "91cc007e7d2d213c7d2e6a859abab40f30eb94d8470b03b447e98fd5ff25de9a",
+        "c18653f336bb63acf55d8a6556617f8ff3d01f32ac97991c322950549a55808c",
     ),
     "checked": (
         SimJob("go", BASE, 300,
                instrument=Instrumentation(check_invariants=True)),
-        "0dd4472848e7538733ccf5cfe1310ee962364ce87f990bea2f2546c35b650673",
+        "c9dab78ab26c47040feaf953d92b2a5d39b43fbc1c1651a7abef70d3e8095762",
     ),
     "profiled": (
         SimJob("go", BASE.with_reese(), 300,
                instrument=Instrumentation(profile=True)),
-        "5b522ce31a908ea9d553ad5634802734d873b83e7be25644a8cbc6e841db0d44",
+        "3048972b8c5dfdc91ed28e7952cbbd183cd8a38f064364b0752881d72024310c",
     ),
     "traced": (
         SimJob("go", BASE, 300,
                instrument=Instrumentation(trace_path="out.jsonl")),
-        "021bb15d21330837e4bfc046c36b6b7e5e524ee403a200fb0fe92abe87493ca5",
+        "975f2e6d021939369f9fb086da37958b6e6ccb9a734554762ba064690018bb54",
     ),
     "all": (
         SimJob("gcc", BASE.with_reese(), 300,
                instrument=Instrumentation(
                    metrics=True, check_invariants=True, profile=True,
                    trace_path="t.jsonl")),
-        "181ec0fc78b441b8756f2769e56e86f59cdf3e511a10a349d41b05e8ab08f9bd",
+        "cfa9aea649e8576c23eb7377b68e47a04af53ee637dca05adb998d49f24204ed",
     ),
     "sampled": (
         SimJob("li", BASE, 2000, sampling=SPEC,
                instrument=Instrumentation(profile=True)),
-        "e007b0c8096e267591bf225ac6efa20c18658161a2df432446355bf308e8dcc4",
+        "166ae2cd923383b6812b25ee5d195c4dcef9c5be49dff8d144049f58ef3ed426",
     ),
 }
 
@@ -194,4 +211,4 @@ def test_fingerprint_digest_is_unchanged(case):
 
 
 def test_cache_version_is_unchanged():
-    assert CACHE_VERSION == 5
+    assert CACHE_VERSION == 6

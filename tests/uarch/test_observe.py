@@ -127,16 +127,21 @@ class TestEventTracer:
 class TestStageMetrics:
     def test_histograms_sum_to_cycles(self, mixed_trace, cfg):
         program, trace = mixed_trace
-        metrics = StageMetrics()
-        stats = Pipeline(program, trace, cfg.with_reese(),
-                         probe=metrics).run()
-        registry = stats.stage_metrics
-        assert registry["cycles_sampled"] == stats.cycles
-        for key in StageMetrics.STRUCTURES:
-            hist = registry["occupancy"][key]
-            assert sum(hist.values()) == stats.cycles
-            # String bins (JSON cache round-trip safe).
-            assert all(isinstance(bin_, str) for bin_ in hist)
+        # A whole run, and one whose measurement window opens mid-trace:
+        # the registry must reset with the rest of the Stats.
+        for measure_from in (None, len(trace) // 2):
+            stats = Pipeline(program, trace, cfg.with_reese(),
+                             probe=StageMetrics(),
+                             measure_from=measure_from).run()
+            registry = stats.stage_metrics
+            assert registry["cycles_sampled"] == stats.cycles
+            for key in StageMetrics.STRUCTURES:
+                hist = registry["occupancy"][key]
+                assert sum(hist.values()) == stats.cycles
+                # String bins (JSON cache round-trip safe).
+                assert all(isinstance(bin_, str) for bin_ in hist)
+            stalls = registry["stalls"]
+            assert all(0 <= count <= stats.cycles for count in stalls.values())
 
     def test_fu_split_accounts_r_stream(self, mixed_trace, cfg):
         program, trace = mixed_trace
